@@ -1,6 +1,5 @@
 #include "scenario/cache.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -262,7 +261,7 @@ std::optional<ClaimInfo> parse_claim(const std::string& text) {
 
 }  // namespace
 
-void ResultCache::write_claim(const std::string& hash, const ClaimInfo& info) {
+bool ResultCache::write_claim(const std::string& hash, const ClaimInfo& info, bool exclusive) {
   const fs::path path = claim_path(hash);
   const fs::path tmp = path.string() + unique_tmp_suffix();
   const std::string text = json::dump_compact(claim_document(info));
@@ -276,11 +275,20 @@ void ResultCache::write_claim(const std::string& hash, const ClaimInfo& info) {
                          "ResultCache: claim write failed for " + tmp.string());
   }
   std::error_code ec;
+  if (exclusive) {
+    const int rc = ::link(tmp.c_str(), path.c_str());
+    const int err = errno;
+    fs::remove(tmp, ec);
+    if (rc == 0 || err == EEXIST) return rc == 0;
+    throw ConfigError("ResultCache: cannot create claim " + path.string() + ": " +
+                      std::strerror(err));
+  }
   fs::rename(tmp, path, ec);
   if (ec) {
     fs::remove(tmp, ec);
     throw ConfigError("ResultCache: claim rename failed for " + path.string());
   }
+  return true;
 }
 
 ClaimOutcome ResultCache::try_claim(const std::string& hash, const std::string& owner,
@@ -292,24 +300,10 @@ ClaimOutcome ResultCache::try_claim(const std::string& hash, const std::string& 
   adc::common::require(!ec, "ResultCache::try_claim: cannot create " +
                                path.parent_path().string() + ": " + ec.message());
 
-  // Fast path: exclusive creation. Exactly one of N racing owners wins.
-  const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-  if (fd >= 0) {
-    const std::string text = json::dump_compact(claim_document({owner, now_ms}));
-    const ssize_t written = ::write(fd, text.data(), text.size());
-    ::close(fd);
-    if (written != static_cast<ssize_t>(text.size())) {
-      // A torn claim would read as corrupt (= stale) to everyone; remove it
-      // and report the claim as not acquired.
-      fs::remove(path, ec);
-      throw ConfigError("ResultCache::try_claim: short write for " + path.string());
-    }
-    return ClaimOutcome::kAcquired;
-  }
-  if (errno != EEXIST) {
-    throw ConfigError("ResultCache::try_claim: cannot create " + path.string() +
-                      ": " + std::strerror(errno));
-  }
+  // Fast path: exclusive creation of a complete claim. Exactly one of N
+  // racing owners wins, and no rival can read a half-written claim as
+  // corrupt and steal it.
+  if (write_claim(hash, {owner, now_ms}, /*exclusive=*/true)) return ClaimOutcome::kAcquired;
 
   const auto existing = read_claim(hash);
   if (existing.has_value() && existing->owner == owner) {

@@ -28,8 +28,8 @@
 ///
 /// Claim protocol (the fleet coordination substrate, docs/FLEET.md):
 /// a *claim* is a sidecar `<root>/<xx>/<hash>.claim` file recording an owner
-/// id and a heartbeat timestamp. `try_claim` creates it with O_CREAT|O_EXCL,
-/// so exactly one of N racing processes acquires a fresh claim; a claim
+/// id and a heartbeat timestamp. `try_claim` hard-links a complete temp file
+/// to it, so exactly one of N racing processes acquires a fresh claim; a claim
 /// whose heartbeat is older than the caller's lease is *stale* (its owner
 /// crashed or stalled) and is stolen by atomically renaming a replacement
 /// over it. Claims are an optimization that minimizes duplicate computation
@@ -172,8 +172,9 @@ class ResultCache {
  private:
   [[nodiscard]] std::string entry_path(const std::string& hash) const;
   [[nodiscard]] std::string claim_path(const std::string& hash) const;
-  /// Atomically replace (or create) the claim file via write-temp + rename.
-  void write_claim(const std::string& hash, const ClaimInfo& info);
+  /// Atomically replace (or create) the claim file via write-temp + rename;
+  /// `exclusive` links instead and returns false when the claim exists.
+  bool write_claim(const std::string& hash, const ClaimInfo& info, bool exclusive = false);
 
   std::string root_;
   std::atomic<std::uint64_t> hits_{0};

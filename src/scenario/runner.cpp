@@ -134,15 +134,6 @@ void write_text_file(const std::string& path, const std::string& text) {
   adc::common::require(out.good(), "ScenarioRunner: write failed for " + path);
 }
 
-/// A maximal run of consecutive candidate cache misses the execute phase
-/// computes as one pool job. Batched units hold up to adc::batch::kLanes
-/// jobs that differ only in seed and route through one BatchConverter
-/// die-block.
-struct MissUnit {
-  std::size_t first = 0;  ///< position in the misses vector
-  std::size_t count = 1;
-};
-
 /// True when two grid points are the same sweep point (bitwise — the values
 /// come from the same expansion, so representational equality is exact).
 /// Jobs at equal points resolve to configurations differing only in seed.
@@ -303,19 +294,69 @@ ReportPaths write_report_files(const json::JsonValue& report, const std::string&
   return paths;
 }
 
+std::vector<ExecuteUnit> form_units(const ScenarioSpec& spec, const ScenarioPlan& plan,
+                                    const std::vector<std::size_t>& indices) {
+  // Seeds are innermost in the expansion, so same-point jobs are adjacent.
+  const bool batchable = batchable_shape(spec);
+  std::vector<ExecuteUnit> units;
+  for (const std::size_t index : indices) {
+    if (!batchable || units.empty() || units.back().size() >= adc::batch::kLanes ||
+        !same_grid_point(plan.jobs[units.back().front()], plan.jobs[index])) {
+      units.emplace_back();
+    }
+    units.back().push_back(index);
+  }
+  return units;
+}
+
+std::vector<std::optional<json::JsonValue>> compute_unit(const ScenarioSpec& spec,
+                                                         const ScenarioPlan& plan,
+                                                         const ExecuteUnit& unit,
+                                                         ResultCache* cache,
+                                                         const ExecuteHooks& hooks) {
+  std::vector<std::optional<json::JsonValue>> out(unit.size());
+  // Claim the unit's jobs; unclaimed slots stay null and are left to the
+  // owner that holds them. The claim is taken immediately before the
+  // compute, so it is held only while its job is actually in flight.
+  std::vector<std::size_t> mine;
+  for (std::size_t t = 0; t < unit.size(); ++t) {
+    if (!hooks.acquire || hooks.acquire(unit[t], plan.hashes[unit[t]])) mine.push_back(t);
+  }
+  if (mine.empty()) return out;
+  const ResolvedJob first = resolve_job(spec, plan.jobs[unit[mine.front()]]);
+  if (mine.size() >= adc::batch::kMinBatchDies && batchable_shape(spec) &&
+      adc::batch::BatchConverter::supports_config(first.config)) {
+    std::vector<std::uint64_t> seeds;
+    for (const std::size_t t : mine) seeds.push_back(plan.jobs[unit[t]].seed);
+    const auto results =
+        adc::testbench::run_dynamic_test_block(first.config, seeds, dynamic_options(first));
+    for (std::size_t m = 0; m < mine.size(); ++m) out[mine[m]] = dynamic_payload(results[m]);
+  } else {
+    for (const std::size_t t : mine) {
+      out[t] = ScenarioRunner::execute_job(resolve_job(spec, plan.jobs[unit[t]]));
+    }
+  }
+  // Persist before anyone is told, which is what makes interrupted runs
+  // resumable.
+  for (const std::size_t t : mine) {
+    const std::string& hash = plan.hashes[unit[t]];
+    if (cache != nullptr) cache->store(hash, *out[t]);
+    if (hooks.stored) hooks.stored(unit[t], hash);
+  }
+  return out;
+}
+
 ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
                             std::vector<std::optional<json::JsonValue>>& payloads,
                             const ExecuteOptions& options) {
   adc::common::require(payloads.size() == plan.jobs.size(),
                        "execute_plan: payloads not aligned with the plan");
-  const std::vector<JobPoint>& jobs = plan.jobs;
-  const std::vector<std::string>& hashes = plan.hashes;
   ExecuteOutcome outcome;
 
   // Candidates: every missing payload the caller admits (a fleet worker
   // passes its shard membership here; the batch runner passes nothing).
   std::vector<std::size_t> misses;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
+  for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
     if (payloads[i].has_value()) continue;
     if (options.candidate && !options.candidate(i)) continue;
     misses.push_back(i);
@@ -328,93 +369,24 @@ ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
     misses.resize(options.max_jobs);
   }
 
-  // Group the misses into execute units. For single-tone dynamic/yield
-  // sweeps under the fast profile, consecutive misses at the same grid
-  // point differ only in seed (seeds are innermost in the expansion), so up
-  // to adc::batch::kLanes of them form one die-block for the batch
-  // conversion engine. Everything else — exact profile, two-tone, static,
-  // power, ramp — stays one job per unit, exactly the pre-batch behavior.
-  std::vector<MissUnit> units;
-  units.reserve(misses.size());
-  if (batchable_shape(spec)) {
-    std::size_t k = 0;
-    while (k < misses.size()) {
-      std::size_t j = k + 1;
-      while (j < misses.size() && j - k < adc::batch::kLanes &&
-             same_grid_point(jobs[misses[j]], jobs[misses[k]])) {
-        ++j;
-      }
-      units.push_back({k, j - k});
-      k = j;
-    }
-  } else {
-    for (std::size_t k = 0; k < misses.size(); ++k) units.push_back({k, 1});
-  }
-
-  // Compute the units in parallel, one pool job each. Each unit persists
-  // its payloads before the batch completes, which is what makes
-  // interrupted runs resumable. Units are index-keyed pure functions, so
-  // results stay bit-identical at any thread count; the batch engine's own
-  // contract keeps them bit-identical to the per-job path. The claim gate
-  // (hooks.acquire) runs immediately before a job would be computed, so a
-  // claim is held only while its job is actually in flight.
-  if (!units.empty()) {
-    adc::runtime::BatchStats stats;
-    adc::runtime::BatchOptions batch;
-    batch.threads = options.threads;
-    batch.stats = &stats;
-    auto computed = adc::runtime::parallel_map<std::vector<std::optional<json::JsonValue>>>(
-        units.size(),
-        [&](std::size_t u) {
-          const MissUnit& unit = units[u];
-          std::vector<std::optional<json::JsonValue>> out(unit.count);
-          // Claim the unit's jobs; unclaimed slots stay null and are left
-          // to the owner that holds them.
-          std::vector<std::size_t> mine;
-          mine.reserve(unit.count);
-          for (std::size_t t = 0; t < unit.count; ++t) {
-            const std::size_t index = misses[unit.first + t];
-            if (!options.hooks.acquire || options.hooks.acquire(index, hashes[index])) {
-              mine.push_back(t);
-            }
-          }
-          if (mine.empty()) return out;
-          const ResolvedJob first =
-              resolve_job(spec, jobs[misses[unit.first + mine.front()]]);
-          if (mine.size() >= adc::batch::kMinBatchDies &&
-              adc::batch::BatchConverter::supports_config(first.config)) {
-            std::vector<std::uint64_t> seeds;
-            seeds.reserve(mine.size());
-            for (const std::size_t t : mine) {
-              seeds.push_back(jobs[misses[unit.first + t]].seed);
-            }
-            const auto results = adc::testbench::run_dynamic_test_block(
-                first.config, seeds, dynamic_options(first));
-            for (std::size_t m = 0; m < mine.size(); ++m) {
-              out[mine[m]] = dynamic_payload(results[m]);
-            }
-          } else {
-            for (const std::size_t t : mine) {
-              out[t] = ScenarioRunner::execute_job(
-                  resolve_job(spec, jobs[misses[unit.first + t]]));
-            }
-          }
-          for (const std::size_t t : mine) {
-            const std::size_t index = misses[unit.first + t];
-            if (options.cache != nullptr) options.cache->store(hashes[index], *out[t]);
-            if (options.hooks.stored) options.hooks.stored(index, hashes[index]);
-          }
-          return out;
-        },
-        batch);
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      for (std::size_t t = 0; t < units[u].count; ++t) {
-        if (computed[u][t].has_value()) {
-          payloads[misses[units[u].first + t]] = std::move(computed[u][t]);
-          ++outcome.computed;
-        } else {
-          ++outcome.claimed_elsewhere;
-        }
+  // One pool job per unit. Units are index-keyed pure functions, so results
+  // stay bit-identical at any thread count.
+  const std::vector<ExecuteUnit> units = form_units(spec, plan, misses);
+  adc::runtime::BatchOptions batch;
+  batch.threads = options.threads;
+  auto computed = adc::runtime::parallel_map<std::vector<std::optional<json::JsonValue>>>(
+      units.size(),
+      [&](std::size_t u) {
+        return compute_unit(spec, plan, units[u], options.cache, options.hooks);
+      },
+      batch);
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    for (std::size_t t = 0; t < units[u].size(); ++t) {
+      if (computed[u][t].has_value()) {
+        payloads[units[u][t]] = std::move(computed[u][t]);
+        ++outcome.computed;
+      } else {
+        ++outcome.claimed_elsewhere;
       }
     }
   }

@@ -160,12 +160,31 @@ struct ExecuteOutcome {
   std::size_t claimed_elsewhere = 0;  ///< declined by hooks.acquire
 };
 
+/// Plan indices computed together as one pool job.
+using ExecuteUnit = std::vector<std::size_t>;
+
+/// Group plan indices into execute units: up to adc::batch::kLanes
+/// consecutive same-grid-point indices of a fast single-tone sweep (they
+/// differ only in seed), one index per unit for every other spec.
+[[nodiscard]] std::vector<ExecuteUnit> form_units(const ScenarioSpec& spec,
+                                                  const ScenarioPlan& plan,
+                                                  const std::vector<std::size_t>& indices);
+
+/// Compute a unit of form_units (or a subset of one) — the one compute path
+/// of the CLI, the fleet worker and the scenario service. The jobs
+/// `hooks.acquire` admits go through one batch-engine die-block when there
+/// are enough of them, else through ScenarioRunner::execute_job (the two are
+/// bit-identical); each payload is stored in `cache` (if set) before
+/// `hooks.stored`. Returns payloads aligned with `unit`; declined slots stay
+/// empty.
+[[nodiscard]] std::vector<std::optional<adc::common::json::JsonValue>> compute_unit(
+    const ScenarioSpec& spec, const ScenarioPlan& plan, const ExecuteUnit& unit,
+    ResultCache* cache, const ExecuteHooks& hooks = {});
+
 /// Compute the plan's missing payloads in place: every index where
-/// `payloads[i]` is empty and `candidate(i)` holds is grouped into execute
-/// units (consecutive same-grid-point jobs batch through the SoA conversion
-/// engine when the spec shape allows it), computed on the shared pool, and
-/// written back to `payloads[i]` — persisting each payload through `cache`
-/// as it completes. This is the single execute path shared by
+/// `payloads[i]` is empty and `candidate(i)` holds, up to `max_jobs` of
+/// them, is grouped by form_units, computed by compute_unit on the shared
+/// pool (one pool job per unit), and written back to `payloads[i]`. Shared by
 /// ScenarioRunner::run and the fleet worker (src/fleet/worker.cpp), so a
 /// sharded multi-process sweep computes exactly the bytes a single-process
 /// run would.
@@ -184,7 +203,7 @@ class ScenarioRunner {
   [[nodiscard]] RunResult run(const ScenarioSpec& spec);
 
   /// Execute one resolved job immediately (no cache); the payload that
-  /// would be stored. Exposed for tests, the CLI, and the service executor.
+  /// would be stored. compute_unit's per-job path; exposed for tests.
   [[nodiscard]] static adc::common::json::JsonValue execute_job(const ResolvedJob& job);
 
  private:

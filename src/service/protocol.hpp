@@ -42,6 +42,7 @@
 /// and are rejected loudly (docs/SERVICE.md).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -63,7 +64,11 @@ inline constexpr const char* kUnknownRequest = "unknown_request";
 inline constexpr const char* kCacheUnwritable = "cache_unwritable";
 inline constexpr const char* kExecutionFailed = "execution_failed";
 inline constexpr const char* kShuttingDown = "shutting_down";
+inline constexpr const char* kLineTooLong = "line_too_long";
 }  // namespace error_code
+
+/// Longest request line the server reads; longer ones close the connection.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
 
 /// A parsed client request.
 struct Request {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -27,7 +28,7 @@ constexpr int kPollMs = 200;
 /// it means the client stopped draining its socket; the connection is killed
 /// rather than buffered without limit.
 constexpr std::size_t kMaxQueuedLines = 4096;
-/// Soft bound: above this queue depth the scheduler stops starting new cells
+/// Soft bound: above this queue depth the scheduler stops starting new units
 /// for the tenant, giving a slow-but-alive client time to catch up before
 /// the hard bound disconnects it.
 constexpr std::size_t kSendQueueBackpressure = kMaxQueuedLines / 2;
@@ -41,7 +42,7 @@ struct ScenarioService::Connection {
   /// False once the peer is gone (EOF, write failure, or send-queue
   /// overflow). Guarded by the service mutex_ for state decisions.
   bool open = true;
-  std::size_t inflight = 0;         ///< computing cells owned by this tenant
+  std::size_t inflight = 0;         ///< computing units owned by this tenant
   std::size_t active_requests = 0;  ///< admitted run requests
   std::thread reader;
 
@@ -64,14 +65,14 @@ struct ScenarioService::RunState {
   adc::scenario::ScenarioPlan plan;
   adc::runtime::CancellationToken cancel;
   std::vector<std::optional<json::JsonValue>> payloads;
+  std::vector<adc::scenario::ExecuteUnit> units;  ///< every plan index, grouped
 
-  std::size_t next_job = 0;          ///< scheduler cursor into plan.jobs
+  std::size_t next_unit = 0;         ///< scheduler cursor into units
   std::size_t scheduled_misses = 0;  ///< misses dispatched (max_jobs budget)
   std::uint64_t max_jobs = 0;        ///< 0 = unlimited
-  std::size_t inflight = 0;          ///< own pool jobs still running
+  std::size_t inflight = 0;          ///< own pool jobs (units) still running
   std::size_t subscriptions = 0;     ///< dedup deliveries still pending
 
-  std::uint64_t processed = 0;  ///< hits + computed + deduped + skipped
   std::uint64_t delivered = 0;  ///< cells streamed (payload recorded)
   std::uint64_t hits = 0;
   std::uint64_t deduped = 0;
@@ -81,11 +82,6 @@ struct ScenarioService::RunState {
   bool cancel_requested = false;  ///< explicit cancel (gets a terminal event)
   bool failed = false;            ///< terminal error event already sent
   bool finished = false;          ///< removed from scheduling
-};
-
-/// One in-flight computation; subscribers[0] is the owner that pays for it.
-struct ScenarioService::Inflight {
-  std::vector<std::pair<std::shared_ptr<RunState>, std::size_t>> subscribers;
 };
 
 ScenarioService::ScenarioService(ServiceOptions options)
@@ -211,9 +207,12 @@ void ScenarioService::reader_loop(const std::shared_ptr<Connection>& conn) {
                       adc::scenario::to_hex(adc::scenario::golden_code_fingerprint()))));
   std::string line;
   while (!stopping_.load(std::memory_order_relaxed)) {
-    const auto status = conn->stream.read_line(line, kPollMs);
+    const auto status = conn->stream.read_line(line, kPollMs, kMaxRequestLineBytes);
     if (status == UnixStream::ReadStatus::kTimeout) continue;
-    if (status == UnixStream::ReadStatus::kClosed) break;
+    if (status == UnixStream::ReadStatus::kTooLong) {
+      send_line(conn, encode_event(error_event("", error_code::kLineTooLong, "line over 1 MiB")));
+    }
+    if (status != UnixStream::ReadStatus::kLine) break;
     handle_line(conn, line);
   }
   on_disconnect(conn);
@@ -258,6 +257,9 @@ void ScenarioService::handle_run(const std::shared_ptr<Connection>& conn,
     return;
   }
   run->payloads.resize(run->plan.jobs.size());
+  std::vector<std::size_t> indices(run->plan.jobs.size());
+  std::iota(indices.begin(), indices.end(), std::size_t{0});
+  run->units = adc::scenario::form_units(run->spec, run->plan, indices);
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -293,8 +295,6 @@ void ScenarioService::handle_run(const std::shared_ptr<Connection>& conn,
                                                 run->plan.jobs.size())));
     active_.push_back(run);
   }
-  // An empty sweep (cannot happen today — expand_jobs yields >= 1 job) would
-  // finalize on its first scheduler visit; no special case needed here.
   work_cv_.notify_all();
 }
 
@@ -397,114 +397,110 @@ void ScenarioService::scheduler_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (!stopping_.load(std::memory_order_relaxed)) {
     std::shared_ptr<RunState> run;
-    std::size_t index = 0;
-    if (!pick_next_locked(run, index)) {
+    std::size_t unit = 0;
+    if (!pick_next_locked(run, unit)) {
       work_cv_.wait_for(lock, std::chrono::milliseconds(kPollMs));
       continue;
     }
     lock.unlock();
-    dispatch_cell(run, index);
+    dispatch_unit(run, unit);
     lock.lock();
   }
 }
 
 bool ScenarioService::pick_next_locked(std::shared_ptr<RunState>& run,
-                                       std::size_t& index) {
+                                       std::size_t& unit) {
   const std::size_t n = active_.size();
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t at = (rr_cursor_ + k) % n;
     const auto& candidate = active_[at];
     if (candidate->finished || candidate->cancel.cancelled()) continue;
-    if (candidate->next_job >= candidate->plan.jobs.size()) continue;
+    if (candidate->next_unit >= candidate->units.size()) continue;
     if (candidate->conn->inflight >= options_.max_inflight_per_connection) continue;
-    // Backpressure: a tenant whose send queue is deep gets no new cells
+    // Backpressure: a tenant whose send queue is deep gets no new units
     // until its client catches up (or overflows the hard bound and dies).
     if (candidate->conn->queued.load(std::memory_order_relaxed) >=
         kSendQueueBackpressure) {
       continue;
     }
     run = candidate;
-    index = candidate->next_job++;
+    unit = candidate->next_unit++;
     rr_cursor_ = (at + 1) % n;  // fairness: the next turn goes to the next tenant
     return true;
   }
   return false;
 }
 
-void ScenarioService::dispatch_cell(const std::shared_ptr<RunState>& run,
-                                    std::size_t index) {
-  const std::string& hash = run->plan.hashes[index];
-
-  // Phase 1 — join or claim the single-flight slot for this content hash.
-  enum class Action { kNone, kProbeOwned, kProbeBudgetExhausted };
-  Action action = Action::kNone;
+void ScenarioService::dispatch_unit(const std::shared_ptr<RunState>& run,
+                                    std::size_t unit) {
+  // Phase 1 — cells already being computed (any tenant) subscribe; the rest
+  // are probed. Only this thread registers computations, so a probed cell
+  // cannot start computing before phase 3: probe-then-register is
+  // single-flight.
+  std::vector<std::size_t> probed;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (run->finished || run->cancel.cancelled()) return;
-    const auto existing = inflight_.find(hash);
-    if (existing != inflight_.end()) {
-      // Someone is already computing (or probing) this exact cell: subscribe.
-      existing->second->subscribers.emplace_back(run, index);
-      ++run->subscriptions;
-      return;
-    }
-    if (run->max_jobs != 0 && run->scheduled_misses >= run->max_jobs) {
-      action = Action::kProbeBudgetExhausted;  // hits still served, misses skipped
-    } else {
-      auto entry = std::make_shared<Inflight>();
-      entry->subscribers.emplace_back(run, index);
-      inflight_[hash] = entry;
-      action = Action::kProbeOwned;
+    for (const std::size_t index : run->units[unit]) {
+      const auto existing = inflight_.find(run->plan.hashes[index]);
+      if (existing != inflight_.end()) {
+        existing->second.emplace_back(run, index);
+        ++run->subscriptions;
+      } else {
+        probed.push_back(index);
+      }
     }
   }
 
   // Phase 2 — probe the shared warm tier (disk I/O, no lock held).
-  auto payload = cache_.load(hash);
+  std::vector<std::optional<json::JsonValue>> hits;
+  for (const std::size_t index : probed) hits.push_back(cache_.load(run->plan.hashes[index]));
 
-  // Phase 3 — deliver the hit, skip, or submit the computation.
-  bool submit = false;
+  // Phase 3 — stream the hits; register the misses within the max_jobs
+  // budget and compute them as one pool job; skip the rest.
+  adc::scenario::ExecuteUnit misses;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (action == Action::kProbeBudgetExhausted) {
-      if (payload.has_value()) {
-        record_payload_locked(run, index, *payload, CellOrigin::kHit);
+    if (run->finished || run->cancel.cancelled()) return;
+    for (std::size_t k = 0; k < probed.size(); ++k) {
+      const std::size_t index = probed[k];
+      const std::string& hash = run->plan.hashes[index];
+      const auto existing = inflight_.find(hash);
+      if (hits[k].has_value()) {
+        record_payload_locked(run, index, *hits[k], CellOrigin::kHit);
+      } else if (existing != inflight_.end()) {
+        // The same content hash twice in one unit: registered just above.
+        existing->second.emplace_back(run, index);
+        ++run->subscriptions;
+      } else if (run->max_jobs == 0 || run->scheduled_misses < run->max_jobs) {
+        inflight_[hash].emplace_back(run, index);
+        ++run->scheduled_misses;
+        misses.push_back(index);
       } else {
         ++run->skipped;
-        ++run->processed;
-        maybe_finalize_locked(run);
       }
-    } else if (payload.has_value()) {
-      // Deliver to the owner and to everyone who subscribed while probing.
-      const auto entry = inflight_.find(hash)->second;
-      inflight_.erase(hash);
-      for (const auto& [subscriber, at] : entry->subscribers) {
-        if (subscriber != run) --subscriber->subscriptions;
-        record_payload_locked(subscriber, at, *payload, CellOrigin::kHit);
-      }
-    } else {
-      ++run->scheduled_misses;
+    }
+    if (!misses.empty()) {
       ++run->inflight;
       ++run->conn->inflight;
       ++pending_pool_jobs_;
-      submit = true;
     }
+    maybe_finalize_locked(run);
   }
-  if (submit) {
+  if (!misses.empty()) {
     adc::runtime::global_pool().submit(
-        [this, run, index, hash] { execute_cell(run, index, hash); });
+        [this, run, misses = std::move(misses)] { execute_unit(run, misses); });
   }
 }
 
-void ScenarioService::execute_cell(const std::shared_ptr<RunState>& run,
-                                   std::size_t index, const std::string& hash) {
-  json::JsonValue payload;
+void ScenarioService::execute_unit(const std::shared_ptr<RunState>& run,
+                                   const adc::scenario::ExecuteUnit& misses) {
+  std::vector<std::optional<json::JsonValue>> payloads;
   std::string failure;
   try {
-    payload = adc::scenario::ScenarioRunner::execute_job(
-        adc::scenario::resolve_job(run->spec, run->plan.jobs[index]));
-    // Persist before delivery — a cancelled or crashed request leaves its
+    // Persists before delivery — a cancelled or crashed request leaves its
     // finished cells behind for bit-identical resume.
-    cache_.store(hash, payload);
+    payloads = adc::scenario::compute_unit(run->spec, run->plan, misses, &cache_);
   } catch (const std::exception& e) {
     failure = e.what();
     if (failure.empty()) failure = "unknown execution failure";
@@ -512,21 +508,20 @@ void ScenarioService::execute_cell(const std::shared_ptr<RunState>& run,
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto entry = inflight_.find(hash)->second;
-    inflight_.erase(hash);
-    for (const auto& [subscriber, at] : entry->subscribers) {
-      const bool owner = subscriber == run && at == index;
-      if (owner) {
-        --run->inflight;
-        --run->conn->inflight;
-      } else {
-        --subscriber->subscriptions;
-      }
-      if (!failure.empty()) {
-        fail_request_locked(subscriber, failure);
-      } else {
-        record_payload_locked(subscriber, at, payload,
-                              owner ? CellOrigin::kMiss : CellOrigin::kDedup);
+    --run->inflight;
+    --run->conn->inflight;
+    for (std::size_t t = 0; t < misses.size(); ++t) {
+      const auto node = inflight_.extract(run->plan.hashes[misses[t]]);
+      // The first subscriber is this run's own cell; the rest joined later.
+      for (std::size_t k = 0; k < node.mapped().size(); ++k) {
+        const auto& [subscriber, at] = node.mapped()[k];
+        if (k > 0) --subscriber->subscriptions;
+        if (!failure.empty()) {
+          fail_request_locked(subscriber, failure);
+        } else {
+          record_payload_locked(subscriber, at, *payloads[t],
+                                k == 0 ? CellOrigin::kMiss : CellOrigin::kDedup);
+        }
       }
     }
     --pending_pool_jobs_;
@@ -546,7 +541,6 @@ void ScenarioService::record_payload_locked(const std::shared_ptr<RunState>& run
                                             CellOrigin origin) {
   if (run->finished) return;
   run->payloads[index] = payload;
-  ++run->processed;
   switch (origin) {
     case CellOrigin::kHit:
       ++run->hits;
@@ -574,15 +568,12 @@ void ScenarioService::record_payload_locked(const std::shared_ptr<RunState>& run
 }
 
 void ScenarioService::maybe_finalize_locked(const std::shared_ptr<RunState>& run) {
-  if (run->finished) return;
-  const bool drained = run->inflight == 0 && run->subscriptions == 0;
-  if (!drained) return;
-
+  if (run->finished || run->inflight != 0 || run->subscriptions != 0) return;  // not drained
   const bool cancelled = run->cancel.cancelled();
-  const bool complete = run->processed == run->plan.jobs.size();
-  if (!cancelled && !complete) return;
+  const std::uint64_t processed = run->hits + run->computed + run->deduped + run->skipped;
+  if (!cancelled && processed < run->plan.jobs.size()) return;
 
-  if (!cancelled && complete) {
+  if (!cancelled) {
     auto report =
         adc::scenario::build_report(run->spec, run->plan, run->payloads);
     if (run->conn->open) {
@@ -642,7 +633,7 @@ void ScenarioService::fail_request_locked(const std::shared_ptr<RunState>& run,
 // Output
 
 bool ScenarioService::send_line(const std::shared_ptr<Connection>& conn,
-                                const std::string& line) {
+                                std::string line) {
   bool overflow = false;
   {
     std::lock_guard<std::mutex> lock(conn->send_mutex);
@@ -653,7 +644,7 @@ bool ScenarioService::send_line(const std::shared_ptr<Connection>& conn,
       conn->queued.store(0, std::memory_order_relaxed);
       overflow = true;
     } else {
-      conn->send_queue.push_back(line);
+      conn->send_queue.push_back(std::move(line));
       conn->queued.store(conn->send_queue.size(), std::memory_order_relaxed);
     }
   }

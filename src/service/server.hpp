@@ -12,19 +12,21 @@
 /// Execution model:
 ///
 ///   * **One scheduler thread** drains all active requests in fair
-///     round-robin order — one cell per turn — so a giant sweep never
-///     starves a smoke run submitted next to it.
+///     round-robin order — one execute unit (scenario::form_units) per turn
+///     — so a giant sweep never starves a smoke run submitted next to it.
 ///   * **Admission control** is per tenant: at most
 ///     `max_requests_per_connection` active requests and at most
-///     `max_inflight_per_connection` computing cells per connection;
-///     requests beyond the bound are rejected with an `admission_rejected`
-///     error event, cells beyond it simply wait their turn.
+///     `max_inflight_per_connection` computing units (pool jobs) per
+///     connection; requests beyond the bound are rejected with an
+///     `admission_rejected` error event, units beyond it simply wait their
+///     turn.
 ///   * **The shared warm tier**: every cell probes the content-addressed
 ///     ResultCache first. A hit is streamed directly from the scheduler
 ///     thread — a fully cached request completes with *zero* pool
-///     submissions (the property CI asserts). Misses are computed on the
-///     process-wide work-stealing pool (runtime::global_pool) and persisted
-///     before delivery, so an interrupted request resumes bit-identically.
+///     submissions (the property CI asserts). A unit's misses are one
+///     scenario::compute_unit job on the process-wide pool (the CLI's compute
+///     path), persisted before delivery, so an interrupted request resumes
+///     bit-identically.
 ///   * **Single-flight dedup**: concurrent identical cells (same content
 ///     hash, any tenant) are computed exactly once; later requesters
 ///     subscribe to the in-flight computation and receive the payload as a
@@ -56,12 +58,14 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <atomic>
 #include <condition_variable>
 
 #include "scenario/cache.hpp"
+#include "scenario/runner.hpp"
 #include "service/protocol.hpp"
 #include "service/socket.hpp"
 
@@ -73,8 +77,8 @@ struct ServiceOptions {
   std::string socket_path;
   /// Cache root ("" = ADC_SCENARIO_CACHE_DIR, else ".adc-cache").
   std::string cache_dir;
-  /// Maximum concurrently *computing* cells per connection. Cache hits and
-  /// dedup subscriptions are not counted — they cost no pool time.
+  /// Maximum concurrently *computing* execute units (pool jobs) per
+  /// connection. Cache hits and dedup subscriptions are not counted.
   std::size_t max_inflight_per_connection = 4;
   /// Maximum simultaneously active run requests per connection.
   std::size_t max_requests_per_connection = 8;
@@ -123,7 +127,6 @@ class ScenarioService {
  private:
   struct Connection;
   struct RunState;
-  struct Inflight;
 
   void accept_loop();
   void reader_loop(const std::shared_ptr<Connection>& conn);
@@ -140,15 +143,15 @@ class ScenarioService {
   void handle_shutdown(const std::shared_ptr<Connection>& conn);
   void on_disconnect(const std::shared_ptr<Connection>& conn);
 
-  /// Pick the next (request, job index) in round-robin order; false when
+  /// Pick the next (request, unit index) in round-robin order; false when
   /// nothing is schedulable right now. Caller holds mutex_.
-  bool pick_next_locked(std::shared_ptr<RunState>& run, std::size_t& index);
-  /// Probe the cache / dedup registry for one cell and either stream the
-  /// hit, subscribe, skip (budget), or submit a pool job.
-  void dispatch_cell(const std::shared_ptr<RunState>& run, std::size_t index);
-  /// Pool-worker body: compute, persist, deliver to every subscriber.
-  void execute_cell(const std::shared_ptr<RunState>& run, std::size_t index,
-                    const std::string& hash);
+  bool pick_next_locked(std::shared_ptr<RunState>& run, std::size_t& unit);
+  /// Subscribe a unit's in-flight cells, stream its hits, skip misses beyond
+  /// the max_jobs budget, and submit the other misses as one pool job.
+  void dispatch_unit(const std::shared_ptr<RunState>& run, std::size_t unit);
+  /// Pool-worker body: compute_unit (persists), deliver to every subscriber.
+  void execute_unit(const std::shared_ptr<RunState>& run,
+                    const adc::scenario::ExecuteUnit& misses);
 
   void record_payload_locked(const std::shared_ptr<RunState>& run, std::size_t index,
                              const adc::common::json::JsonValue& payload,
@@ -163,7 +166,7 @@ class ScenarioService {
   /// order against the scheduler enqueue while holding mutex_. Returns false
   /// when the line was dropped (queue closed, or overflow just killed the
   /// connection).
-  bool send_line(const std::shared_ptr<Connection>& conn, const std::string& line);
+  bool send_line(const std::shared_ptr<Connection>& conn, std::string line);
   /// Close the send queue (no new lines; the writer drains and exits).
   static void close_send_queue(const std::shared_ptr<Connection>& conn);
 
@@ -183,8 +186,9 @@ class ScenarioService {
   std::vector<std::shared_ptr<Connection>> connections_;
   std::vector<std::shared_ptr<RunState>> active_;
   std::size_t rr_cursor_ = 0;
-  /// Single-flight registry: content hash → in-flight computation.
-  std::map<std::string, std::shared_ptr<Inflight>> inflight_;
+  /// Single-flight registry: content hash → the (request, job index) pairs
+  /// awaiting its computation; the first is the owner that pays for it.
+  std::map<std::string, std::vector<std::pair<std::shared_ptr<RunState>, std::size_t>>> inflight_;
   std::size_t pending_pool_jobs_ = 0;
   ServiceCounters counters_;
   std::uint64_t next_connection_id_ = 1;

@@ -75,15 +75,18 @@ UnixStream UnixStream::connect(const std::string& path) {
 
 bool UnixStream::write_line(const std::string& line, int timeout_ms) {
   if (fd_ < 0) return false;
-  const std::string framed = line + "\n";
   // MSG_DONTWAIT makes each send non-blocking regardless of the socket's
   // mode, so a full buffer surfaces as EAGAIN and the deadline below applies
   // instead of send() parking the thread indefinitely.
   const int flags = MSG_NOSIGNAL | (timeout_ms >= 0 ? MSG_DONTWAIT : 0);
   const auto start = std::chrono::steady_clock::now();
+  // The newline goes out after the line instead of being appended to a copy:
+  // a `summary` line carries a whole report.
   std::size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t n = ::send(fd_, framed.data() + sent, framed.size() - sent, flags);
+  while (sent <= line.size()) {
+    const bool body = sent < line.size();
+    const ssize_t n =
+        ::send(fd_, body ? line.data() + sent : "\n", body ? line.size() - sent : 1, flags);
     if (n > 0) {
       sent += static_cast<std::size_t>(n);
       continue;
@@ -106,9 +109,13 @@ bool UnixStream::write_line(const std::string& line, int timeout_ms) {
   return true;
 }
 
-UnixStream::ReadStatus UnixStream::read_line(std::string& out, int timeout_ms) {
+UnixStream::ReadStatus UnixStream::read_line(std::string& out, int timeout_ms,
+                                             std::size_t max_bytes) {
   for (;;) {
     const std::size_t newline = buffer_.find('\n');
+    if (max_bytes != 0 && (newline == std::string::npos ? buffer_.size() : newline) > max_bytes) {
+      return ReadStatus::kTooLong;
+    }
     if (newline != std::string::npos) {
       out.assign(buffer_, 0, newline);
       buffer_.erase(0, newline + 1);

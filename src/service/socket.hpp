@@ -51,14 +51,16 @@ class UnixStream {
   /// written; treat the stream as dead). Negative = wait indefinitely.
   bool write_line(const std::string& line, int timeout_ms = -1);
 
-  enum class ReadStatus { kLine, kTimeout, kClosed };
+  enum class ReadStatus { kLine, kTimeout, kClosed, kTooLong };
 
   /// Read one newline-terminated line (the newline is stripped). Waits at
   /// most `timeout_ms` for *new* bytes when no buffered line is available
   /// (negative = wait indefinitely). kClosed means EOF or a read error;
   /// trailing bytes without a newline are discarded, as the protocol frames
-  /// every message with one.
-  [[nodiscard]] ReadStatus read_line(std::string& out, int timeout_ms);
+  /// every message with one. kTooLong: the pending line exceeds a non-zero
+  /// `max_bytes` (drop the stream).
+  [[nodiscard]] ReadStatus read_line(std::string& out, int timeout_ms,
+                                     std::size_t max_bytes = 0);
 
   /// Shut down both directions, waking any blocked reader with EOF. The
   /// descriptor stays valid until destruction.

@@ -1,9 +1,10 @@
 /// Tests for the scenario service (src/service/): wire-protocol parsing,
 /// socket line framing, streamed-report/batch-report byte identity, the
-/// shared warm tier (zero pool submissions on a warm run), single-flight
-/// dedup across concurrent tenants, cancellation via message and via
-/// disconnect (with bit-identical resume from the surviving cache entries),
-/// admission control, and error paths.
+/// shared warm tier (zero pool submissions on a warm run), batched execute
+/// units (one pool job per same-point fast die-block), single-flight dedup
+/// across concurrent tenants, cancellation via message and via disconnect
+/// (with bit-identical resume from the surviving cache entries), admission
+/// control, and error paths (including over-long request lines).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -53,6 +54,16 @@ const char* kSlowSpec = R"({
   "sweep": [{"key": "die.conversion_rate_hz", "values": [60e6, 110e6]}]
 })";
 
+/// Eight fast-profile dies at one grid point: a single execute unit, which
+/// the batch engine converts as one die-block.
+const char* kFastSpec = R"({
+  "name": "fast8",
+  "die": {"fidelity": "fast"},
+  "stimulus": {"type": "tone", "frequency_hz": 10e6, "record_length": 1024},
+  "measurement": {"type": "dynamic"},
+  "seeds": {"first": 42, "count": 8}
+})";
+
 json::JsonValue run_request(const char* spec_text, const std::string& id,
                             std::uint64_t max_jobs = 0) {
   auto request = json::JsonValue::object();
@@ -90,6 +101,11 @@ class TestClient {
 
   void send(const json::JsonValue& request) {
     ASSERT_TRUE(stream_.write_line(json::dump_compact(request)));
+  }
+
+  /// Raw bytes (plus the framing newline); false once the server hung up.
+  bool send_text(const std::string& text, int timeout_ms) {
+    return stream_.write_line(text, timeout_ms);
   }
 
   /// Next event line as a document; a closed/wedged stream returns null.
@@ -340,6 +356,48 @@ TEST_F(ServiceTest, WarmRunServedEntirelyFromCacheWithZeroSubmissions) {
       << "a fully cached request must not submit pool jobs";
 }
 
+TEST_F(ServiceTest, SamePointFastDiesComputeAsOnePoolJob) {
+  auto& service = start_service();
+  const auto before = adc::runtime::global_pool().counters().submitted;
+  TestClient client(service.socket_path());
+  client.send(run_request(kFastSpec, "fast"));
+  std::vector<json::JsonValue> cells;
+  const auto summary = client.await("summary", &cells);
+
+  EXPECT_EQ(adc::runtime::global_pool().counters().submitted, before + 1)
+      << "eight same-point fast dies are one execute unit, hence one pool job";
+  EXPECT_EQ(cells.size(), 8u);
+  EXPECT_EQ(summary.find("computed")->as_uint64(), 8u);
+  const auto reference = batch_report(kFastSpec, path("batch_cache"));
+  EXPECT_EQ(json::dump(*summary.find("report")), json::dump(reference));
+}
+
+TEST_F(ServiceTest, MaxJobsBudgetStaysCellGranularInsideAUnit) {
+  auto& service = start_service();
+  auto before = adc::runtime::global_pool().counters().submitted;
+  {
+    TestClient client(service.socket_path());
+    client.send(run_request(kFastSpec, "budget", /*max_jobs=*/3));
+    const auto summary = client.await("summary");
+    EXPECT_EQ(summary.find("computed")->as_uint64(), 3u);
+    EXPECT_EQ(summary.find("skipped")->as_uint64(), 5u);
+  }
+  EXPECT_EQ(adc::runtime::global_pool().counters().submitted, before + 1)
+      << "the three budgeted misses of one unit are one pool job";
+
+  // Resume: the unit now mixes 3 hits with 5 misses, and the batch engine
+  // over that subset still reproduces the batch CLI's bytes.
+  before = adc::runtime::global_pool().counters().submitted;
+  TestClient resumed(service.socket_path());
+  resumed.send(run_request(kFastSpec, "resume"));
+  const auto summary = resumed.await("summary");
+  EXPECT_EQ(summary.find("cache_hits")->as_uint64(), 3u);
+  EXPECT_EQ(summary.find("computed")->as_uint64(), 5u);
+  EXPECT_EQ(adc::runtime::global_pool().counters().submitted, before + 1);
+  const auto reference = batch_report(kFastSpec, path("batch_cache"));
+  EXPECT_EQ(json::dump(*summary.find("report")), json::dump(reference));
+}
+
 TEST_F(ServiceTest, AcceptedAlwaysPrecedesCellsEvenOnAWarmCache) {
   auto& service = start_service();
   {
@@ -514,6 +572,25 @@ TEST_F(ServiceTest, MalformedLinesAndInvalidSpecsGetStructuredErrors) {
   client.send(cancel);
   error = client.await("error");
   EXPECT_EQ(error.find("code")->as_string(), error_code::kUnknownRequest);
+}
+
+TEST_F(ServiceTest, OverlongRequestLineIsRejectedAndTheServiceSurvives) {
+  auto& service = start_service();
+  {
+    TestClient hostile(service.socket_path());
+    // 2 MiB before the first newline, twice the cap: the server answers and
+    // hangs up instead of buffering, which fails (or times out) this write.
+    (void)hostile.send_text(std::string(2 * kMaxRequestLineBytes, 'x'), 10000);
+    const auto error = hostile.await("error");
+    EXPECT_EQ(error.find("code")->as_string(), error_code::kLineTooLong);
+    EXPECT_FALSE(error.contains("id"));
+    EXPECT_TRUE(hostile.next_event(10000).is_null()) << "connection left open";
+  }
+  // Another tenant is still served.
+  TestClient client(service.socket_path());
+  client.send(run_request(kSmallSpec, "after"));
+  const auto summary = client.await("summary");
+  EXPECT_EQ(summary.find("computed")->as_uint64(), 4u);
 }
 
 TEST_F(ServiceTest, StatusReportsRequestsCacheAndPool) {

@@ -26,7 +26,8 @@ void print_usage() {
       "usage: adc_scenariod --socket PATH [options]\n"
       "  --socket PATH      Unix-domain socket to listen on (required)\n"
       "  --cache-dir D      cache root (default: ADC_SCENARIO_CACHE_DIR or .adc-cache)\n"
-      "  --max-inflight N   concurrently computing cells per connection (default 4)\n"
+      "  --max-inflight N   concurrently computing execute units (pool jobs of up to\n"
+      "                     8 same-point cells) per connection (default 4)\n"
       "  --max-requests N   simultaneously active requests per connection (default 8)\n");
 }
 
