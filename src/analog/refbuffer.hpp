@@ -54,11 +54,15 @@ class ReferenceBuffer {
   /// Reset droop state (new capture).
   void reset();
 
+  /// Residual droop [V] left by the previous conversions, and its restore:
+  /// the fast-profile kernel carries it in a register through a capture.
+  [[nodiscard]] double droop() const { return droop_; }
+  void set_droop(double droop) { droop_ = droop; }
+
   [[nodiscard]] const RefBufferSpec& spec() const { return spec_; }
 
-  /// Realized static level error [V] drawn at construction (batch-engine
-  /// plan hoisting: a batch lane reconstructs vref as nominal + level - droop
-  /// with its own per-lane droop state).
+  /// Realized static level error [V] drawn at construction (the fast
+  /// kernel reconstructs vref as nominal + level - droop per lane).
   [[nodiscard]] double level_error() const { return level_error_; }
 
  private:

@@ -138,9 +138,9 @@ class DifferentialSampler {
 
   /// `fast`-profile variants of the per-sample error terms (see SwitchModel).
   /// After prepare_fast() these evaluate Chebyshev surrogates inside the
-  /// fitted span and fall back to the direct expressions outside it. In the
-  /// header so a caller evaluating both error terms can interleave the two
-  /// independent Clenshaw recurrences.
+  /// fitted span and fall back to the direct expressions outside it. The
+  /// fast kernel runs the surrogates itself and calls these for samples
+  /// outside the span; the tracking error is -average_time_constant · dv/dt.
   [[nodiscard]] double average_time_constant_fast(double v_diff) const {
     const double z = v_diff * v_diff;
     if (z <= fit_vmax2_) return tau_fit_(z);
@@ -151,9 +151,6 @@ class DifferentialSampler {
     const double z = v_diff * v_diff;
     if (z <= fit_vmax2_) return v_diff * inj_fit_(z);
     return charge_injection_error_direct_fast(v_diff);
-  }
-  [[nodiscard]] double tracking_error_fast(double v_diff, double dvdt) const {
-    return -average_time_constant_fast(v_diff) * dvdt;
   }
 
   /// Build the `fast` profile's construction-time surrogates covering
@@ -166,10 +163,10 @@ class DifferentialSampler {
 
   [[nodiscard]] const SwitchModel& switch_model() const { return switch_; }
 
-  // --- fast-surrogate introspection (batch engine, src/batch) ---
+  // --- fast-surrogate introspection (the fast kernel's plan) ---
   // The Chebyshev surrogate tables and their fitted span, exposed so the
-  // batch kernels can run the identical Clenshaw recurrence on raw
-  // coefficient arrays; out-of-span lanes fall back to the public
+  // fast kernel can run the identical Clenshaw recurrence on raw
+  // coefficient arrays; out-of-span samples fall back to the public
   // *_fast getters above through a baseline-compiled callback.
   [[nodiscard]] const adc::common::Chebyshev& tau_fit() const { return tau_fit_; }
   [[nodiscard]] const adc::common::Chebyshev& inj_fit() const { return inj_fit_; }

@@ -1,18 +1,13 @@
 /// \file batch_api.hpp
-/// POD kernel interface of the batch conversion engine.
+/// Kernel interface of the batch conversion engine.
 ///
-/// The batch engine marches S samples × 8 dies through the fast-profile
-/// stage chain in structure-of-arrays form, one *die per SIMD lane*. The
-/// serial cross-sample state of a die (reference droop, random-walk jitter)
-/// stays inside its lane, so lanes are fully independent and every per-stage
-/// invariant is hoisted once per die-block into the PlanView below.
-///
-/// The kernel is compiled three times — baseline SSE2, AVX2, AVX-512 — from
-/// one implementation header (batch_kernel_impl.hpp). To keep wide-ISA code
-/// from leaking into baseline callers (the COMDAT hazard documented in
-/// fastmath.hpp), the interface is deliberately plain-old-data: raw pointers
-/// and scalars only, no std:: templates, no classes with inline members.
-/// BatchConverter (converter.hpp) owns the arrays and builds the views.
+/// The batch engine marches S samples × kLanes dies through the fast-profile
+/// stage chain in structure-of-arrays form, one *die per SIMD lane*. Its
+/// kernel is the fast-profile kernel body (pipeline/fast_kernel_impl.hpp)
+/// at L = kLanes, compiled three times — baseline SSE2, AVX2, AVX-512 — and
+/// driven through the same POD views (pipeline/fast_kernel.hpp) as the
+/// one-lane instantiation PipelineAdc runs. BatchConverter (converter.hpp)
+/// owns the arrays and builds the views.
 ///
 /// Bit-identity contract: for any die, the codes produced through this
 /// interface are byte-identical to `PipelineAdc::convert()` under the fast
@@ -24,6 +19,7 @@
 #include <cstdint>
 
 #include "common/isa_dispatch.hpp"
+#include "pipeline/fast_kernel.hpp"
 
 namespace adc::batch {
 
@@ -34,15 +30,6 @@ namespace adc::batch {
 /// discarded (lanes are independent, so padding cannot perturb real lanes).
 inline constexpr std::size_t kLanes = 8;
 
-/// Samples per noise-plane chunk. 256 samples × 36 slots × 8 lanes ≈ 590 KB
-/// for the plane plus the same for the fill scratch — inside L2. Chunking is
-/// value-neutral: draws are positional.
-inline constexpr std::size_t kChunkSamples = 256;
-
-/// Stage-count ceiling (sizes the kernel's stack arrays). The nominal
-/// pipeline has 10 stages; BatchConverter rejects configs above this.
-inline constexpr std::size_t kMaxBatchStages = 16;
-
 /// Minimum dies in a group before routing it through the batch engine pays.
 /// A ragged block still runs a full kLanes-wide kernel pass (pad lanes do
 /// real work whose codes are discarded), so a group of g dies costs about
@@ -51,109 +38,8 @@ inline constexpr std::size_t kMaxBatchStages = 16;
 /// back to per-die scalar conversion.
 inline constexpr std::size_t kMinBatchDies = 4;
 
-/// One stimulus tone, pre-hoisted exactly as the scalar fast path computes
-/// it: argument = w·t + phase, value contribution = amp·sin, slope
-/// contribution = slope_coef·cos.
-struct ToneView {
-  double w = 0.0;           ///< 2π·f, left-associated as the scalar path does
-  double phase = 0.0;
-  double amp = 0.0;
-  double slope_coef = 0.0;  ///< (amp·2π)·f
-};
-
-/// Everything the kernel reads and never writes: block-uniform scalars,
-/// per-lane die parameters, and per-(stage, lane) hoisted invariants.
-/// All arrays are lane-minor (`[i * kLanes + lane]`), sized as annotated.
-struct PlanView {
-  // --- geometry ---
-  std::size_t num_stages = 0;   ///< 1.5b stages (≤ kMaxBatchStages)
-  std::size_t flash_count = 0;  ///< backend flash comparators
-  std::size_t slots = 0;        ///< noise-plane slots per sample
-
-  // --- block-uniform scalars (config-derived; verified uniform at build) ---
-  double period = 0.0;           ///< 1 / f_CR [s]
-  double settle_s = 0.0;         ///< effective settling window [s]
-  double jitter_rms = 0.0;       ///< white aperture jitter sigma [s]
-  double walk_rms = 0.0;         ///< random-walk jitter step sigma [s]
-  double charge_per_event = 0.0; ///< reference charge per code event [C]
-  double decap = 0.0;            ///< reference decoupling [F]
-  double recharge_factor = 0.0;  ///< exp(-T/(Rout·C)), hoisted at build
-  double fit_vmax2 = 0.0;        ///< sampler surrogate span in z = v²
-  double tau_mid = 0.0;          ///< Clenshaw midpoint of the tau surrogate
-  double tau_inv_half = 0.0;
-  double inj_mid = 0.0;
-  double inj_inv_half = 0.0;
-  double tone_offset = 0.0;      ///< DC offset of a single-sine stimulus
-  long long corr_offset = 0;     ///< correction accumulator start
-  long long max_code = 0;        ///< (1 << bits) - 1
-  bool tracking_nonlinearity = false;
-  bool injection_on = false;     ///< sampler injection_fraction > 0
-  bool thermal_on = false;       ///< per-stage kT/C sampling noise enabled
-  bool ripple_on = false;        ///< bias-ripple gain modulation enabled
-  bool consume_on = false;       ///< reference droop accumulation enabled
-  bool recharge_on = false;      ///< exponential recharge between samples
-  bool multi_tone = false;       ///< accumulate tones from 0 (MultiToneSignal)
-
-  // --- block-uniform arrays ---
-  const double* tau_coef = nullptr;   ///< [tau_count] Chebyshev coefficients
-  std::size_t tau_count = 0;
-  const double* inj_coef = nullptr;   ///< [inj_count]
-  std::size_t inj_count = 0;
-  const double* flash_frac = nullptr; ///< [flash_count] threshold fractions
-  const ToneView* tones = nullptr;    ///< [tone_count]
-  std::size_t tone_count = 0;
-  const long long* weights = nullptr; ///< [num_stages] correction weights
-
-  // --- per-lane die parameters [kLanes] ---
-  const std::uint64_t* noise_key = nullptr;  ///< noise-plane Philox keys
-  const double* nominal_vref = nullptr;      ///< bandgap-coupled references
-  const double* level_error = nullptr;       ///< static reference level error
-  const double* ripple_sigma = nullptr;      ///< per-sample gain ripple sigma
-
-  // --- per-(stage, lane) invariants [num_stages * kLanes] ---
-  const double* sigma_sample = nullptr;   ///< kT/C sampling noise sigma
-  const double* off_hi = nullptr;         ///< +VREF/4 comparator offsets
-  const double* off_lo = nullptr;         ///< -VREF/4 comparator offsets
-  const double* noise_hi = nullptr;       ///< comparator input noise sigma
-  const double* noise_lo = nullptr;
-  const double* meta_hi = nullptr;        ///< metastability half-windows
-  const double* meta_lo = nullptr;
-  const double* droop_d0 = nullptr;       ///< hold-leakage affine terms
-  const double* droop_d1 = nullptr;
-  const double* gain = nullptr;           ///< realized interstage gain
-  const double* gdac = nullptr;           ///< realized C1/C2 DAC gain
-  const double* inv_gain_denom = nullptr; ///< settle coefficients...
-  const double* neg_inv_tau0 = nullptr;
-  const double* sr = nullptr;
-  const double* sr_tau0 = nullptr;
-  const double* inv_swing = nullptr;
-  const double* gm_compression = nullptr; ///< opamp large-signal params
-  const double* output_swing = nullptr;
-
-  // --- per-(flash comparator, lane) [flash_count * kLanes] ---
-  const double* flash_off = nullptr;
-  const double* flash_noise = nullptr;
-  const double* flash_meta = nullptr;
-
-  // --- out-of-span sampler fallback ---
-  // Lanes whose v² leaves the Chebyshev span re-run the exact surrogate
-  // fallback through these baseline-compiled callbacks (the wide TUs must
-  // not instantiate the sampler's code). ctx is a DifferentialSampler,
-  // which is die-independent (no Monte-Carlo draws), so one context serves
-  // every lane.
-  const void* sampler_ctx = nullptr;
-  double (*tau_fallback)(const void*, double) = nullptr;
-  double (*inj_fallback)(const void*, double) = nullptr;
-};
-
-/// Mutable per-capture workspace, allocated once per BatchConverter and
-/// reused across captures, chunks and die-blocks (hot-path-alloc contract:
-/// nothing below is ever grown inside the sample loop).
-struct StateView {
-  double* scratch = nullptr;  ///< [kLanes * kChunkSamples * slots] die-major fill
-  double* plane = nullptr;    ///< [kChunkSamples * slots * kLanes] lane-minor rows
-  int* const* out = nullptr;  ///< [kLanes] per-die code buffers, length >= n
-};
+using adc::pipeline::fast::PlanView;
+using adc::pipeline::fast::StateView;
 
 /// Per-ISA entry points (one strong symbol per tier; see the kernel TUs).
 /// `convert_capture` runs one full capture of `n` samples for all kLanes

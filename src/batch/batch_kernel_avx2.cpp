@@ -2,4 +2,4 @@
 /// on this TU) — contraction would change rounding and break the cross-tier
 /// bit-identity contract.
 #define ADC_BATCH_ISA_NS avx2
-#include "batch/batch_kernel_impl.hpp"
+#include "batch/batch_kernel_tier.hpp"

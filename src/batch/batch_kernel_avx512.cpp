@@ -3,4 +3,4 @@
 /// AVX-512F implies FMA and GCC's default contract=fast would fuse the
 /// settle/polynomial chains, changing bits vs the SSE2 tier.
 #define ADC_BATCH_ISA_NS avx512
-#include "batch/batch_kernel_impl.hpp"
+#include "batch/batch_kernel_tier.hpp"

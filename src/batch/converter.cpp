@@ -1,212 +1,56 @@
 /// \file converter.cpp
-/// Plan extraction for the batch conversion engine.
+/// Die fabrication and capture driving for the batch conversion engine.
 ///
-/// Everything here runs once per converter (die fabrication, invariant
-/// hoisting, uniformity verification); the per-sample work all lives in the
-/// ISA-dispatched kernel. The extraction is the bit-identity linchpin: every
-/// plan value is read back from a fabricated PipelineAdc through the fast-
-/// path introspection accessors, never re-derived from the config, so the
-/// kernel consumes the *same doubles* the scalar path would.
+/// Construction fabricates every die once and writes it into the shared
+/// FastPlan (which verifies the dies agree on everything config-derived);
+/// the per-sample work all lives in the ISA-dispatched kernel.
 #include "batch/converter.hpp"
 
-#include <bit>
-#include <cmath>
-#include <numbers>
+#include <algorithm>
+#include <array>
 
-#include "analog/switches.hpp"
 #include "common/error.hpp"
 
 namespace adc::batch {
-
-namespace {
-
-using adc::common::require;
-
-/// Uniformity checks compare exact bit patterns (a tolerance would hide a
-/// die that genuinely diverged), spelled via bit_cast because the codebase
-/// builds with -Wfloat-equal.
-[[nodiscard]] bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-// Field-major layout of DieBlock::stage_lane / flash_lane: one contiguous
-// [num_stages][kLanes] (resp. [flash_count][kLanes]) matrix per field.
-enum StageField : std::size_t {
-  kFSigmaSample,
-  kFOffHi,
-  kFOffLo,
-  kFNoiseHi,
-  kFNoiseLo,
-  kFMetaHi,
-  kFMetaLo,
-  kFDroopD0,
-  kFDroopD1,
-  kFGain,
-  kFGdac,
-  kFInvGainDenom,
-  kFNegInvTau0,
-  kFSr,
-  kFSrTau0,
-  kFInvSwing,
-  kFGmCompression,
-  kFOutputSwing,
-  kStageFieldCount,
-};
-
-enum FlashField : std::size_t {
-  kFFlashOff,
-  kFFlashNoise,
-  kFFlashMeta,
-  kFlashFieldCount,
-};
-
-double tau_fallback_thunk(const void* ctx, double v) {
-  return static_cast<const adc::analog::DifferentialSampler*>(ctx)->average_time_constant_fast(
-      v);
-}
-
-double inj_fallback_thunk(const void* ctx, double v) {
-  return static_cast<const adc::analog::DifferentialSampler*>(ctx)->charge_injection_error_fast(
-      v);
-}
-
-}  // namespace
 
 BatchConverter::BatchConverter(const adc::pipeline::AdcConfig& base,
                                std::span<const std::uint64_t> seeds,
                                std::optional<adc::common::BatchIsa> forced_isa)
     : seeds_(seeds.begin(), seeds.end()) {
-  require(!seeds_.empty(), "BatchConverter: need at least one die seed");
-  require(supports_config(base),
-          "BatchConverter: config outside the batch contract (fast profile, "
-          "1..16 stages)");
+  adc::common::require(!seeds_.empty(), "BatchConverter: need at least one die seed");
+  adc::common::require(supports_config(base),
+                       "BatchConverter: config outside the batch contract (fast profile)");
   isa_ = forced_isa ? *forced_isa : adc::common::active_batch_isa();
   ops_ = &kernel_ops(isa_);
+  plan_ = adc::pipeline::FastPlan(kLanes, (seeds_.size() + kLanes - 1) / kLanes);
 
   adc::pipeline::AdcConfig cfg = base;
-  cfg.seed = seeds_[0];
-  ref_adc_ = std::make_unique<adc::pipeline::PipelineAdc>(cfg);  // lint-ok: construction-time
-  const adc::pipeline::AdcConfig& rc = ref_adc_->config();
-
-  // --- block-uniform plan scalars, read off the reference die ---
-  proto_ = PlanView{};
-  proto_.num_stages = static_cast<std::size_t>(rc.num_stages);
-  proto_.flash_count = ref_adc_->flash().comparator_count();
-  proto_.slots = ref_adc_->noise_slots_per_sample();
-  // Same bits as both SamplingClock::period() and the droop period: the
-  // normalized clock always runs at the conversion rate.
-  proto_.period = 1.0 / rc.clock.frequency_hz;
-  proto_.settle_s = ref_adc_->fast_settle_window();
-  proto_.jitter_rms = rc.clock.jitter_rms_s;
-  proto_.walk_rms = rc.clock.random_walk_rms_s;
-
-  const adc::analog::RefBufferSpec& rspec = ref_adc_->reference_buffer().spec();
-  proto_.charge_per_event = rspec.charge_per_event;
-  proto_.decap = rspec.decap_farad;
-  proto_.consume_on = rspec.charge_per_event > 0.0;
-  proto_.recharge_on = rspec.output_resistance > 0.0 && proto_.period > 0.0;
-  if (proto_.recharge_on) {
-    // The exact operation sequence ReferenceBuffer::consume caches, hoisted
-    // to construction (the period never changes within a converter).
-    const double tau = rspec.output_resistance * rspec.decap_farad;
-    proto_.recharge_factor = std::exp(-proto_.period / tau);  // lint-ok: construction-time hoist
-  }
-
-  const adc::analog::DifferentialSampler& smp = ref_adc_->sampler();
-  proto_.tracking_nonlinearity = rc.enable.tracking_nonlinearity;
-  proto_.injection_on = smp.switch_model().config().injection_fraction > 0.0;
-  proto_.fit_vmax2 = smp.fit_vmax2();
-  tau_coef_ = smp.tau_fit().coefficients();
-  inj_coef_ = smp.inj_fit().coefficients();
-  proto_.tau_mid = smp.tau_fit().mid();
-  proto_.tau_inv_half = smp.tau_fit().inv_half();
-  proto_.inj_mid = smp.inj_fit().mid();
-  proto_.inj_inv_half = smp.inj_fit().inv_half();
-  // An unprepared surrogate (fit_vmax2 < 0) routes every lane through the
-  // fallback; give Clenshaw a harmless coefficient so it never reads an
-  // empty table.
-  if (tau_coef_.empty()) tau_coef_.assign(1, 0.0);
-  if (inj_coef_.empty()) inj_coef_.assign(1, 0.0);
-  proto_.sampler_ctx = &ref_adc_->sampler();
-  proto_.tau_fallback = &tau_fallback_thunk;
-  proto_.inj_fallback = &inj_fallback_thunk;
-
-  // --- digital correction constants (ErrorCorrection::correct) ---
-  const int bits = ref_adc_->resolution_bits();
-  proto_.corr_offset = (1 << (bits - 1)) - (1 << (rc.flash_bits - 1));
-  proto_.max_code = (1LL << bits) - 1;
-  weights_.reserve(proto_.num_stages);
-  for (std::size_t i = 0; i < proto_.num_stages; ++i) {
-    weights_.push_back(1LL << (bits - 2 - static_cast<int>(i)));
-  }
-
-  flash_frac_.reserve(proto_.flash_count);
-  for (std::size_t k = 0; k < proto_.flash_count; ++k) {
-    flash_frac_.push_back(ref_adc_->flash().threshold_fraction(k));
-  }
-
-  proto_.ripple_on = ref_adc_->fast_ripple_sigma() > 0.0;
-  bool thermal = false;
-  for (std::size_t i = 0; i < proto_.num_stages; ++i) {
-    thermal = thermal || ref_adc_->stage(i).sample_noise_rms() > 0.0;
-  }
-  proto_.thermal_on = thermal;
-
-  proto_.tau_coef = tau_coef_.data();
-  proto_.tau_count = tau_coef_.size();
-  proto_.inj_coef = inj_coef_.data();
-  proto_.inj_count = inj_coef_.size();
-  proto_.flash_frac = flash_frac_.data();
-  proto_.weights = weights_.data();
-
-  // --- per-die plan arrays, one block per kLanes dies ---
-  const std::size_t die_count = seeds_.size();
-  blocks_.resize((die_count + kLanes - 1) / kLanes);
-  for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    DieBlock& blk = blocks_[b];
-    blk.dies = std::min(kLanes, die_count - b * kLanes);
-    blk.stage_lane.assign(kStageFieldCount * proto_.num_stages * kLanes, 0.0);
-    blk.flash_lane.assign(kFlashFieldCount * proto_.flash_count * kLanes, 0.0);
-  }
-  extract_die(*ref_adc_, blocks_[0], 0);
-  for (std::size_t d = 1; d < die_count; ++d) {
+  for (std::size_t d = 0; d < seeds_.size(); ++d) {
     cfg.seed = seeds_[d];
-    const adc::pipeline::PipelineAdc die(cfg);
-    check_uniform(die);
-    extract_die(die, blocks_[d / kLanes], d % kLanes);
-  }
-  // Ragged blocks: replicate lane 0 into the padding lanes. Lanes are
-  // independent, so the replicas cannot perturb the real dies; their codes
-  // land in pad_ and are discarded.
-  for (DieBlock& blk : blocks_) {
-    for (std::size_t l = blk.dies; l < kLanes; ++l) {
-      blk.noise_key[l] = blk.noise_key[0];
-      blk.nominal_vref[l] = blk.nominal_vref[0];
-      blk.level_error[l] = blk.level_error[0];
-      blk.ripple_sigma[l] = blk.ripple_sigma[0];
-      for (std::size_t row = 0; row < kStageFieldCount * proto_.num_stages; ++row) {
-        blk.stage_lane[row * kLanes + l] = blk.stage_lane[row * kLanes];
-      }
-      for (std::size_t row = 0; row < kFlashFieldCount * proto_.flash_count; ++row) {
-        blk.flash_lane[row * kLanes + l] = blk.flash_lane[row * kLanes];
+    std::unique_ptr<adc::pipeline::PipelineAdc> die =
+        std::make_unique<adc::pipeline::PipelineAdc>(cfg);  // lint-ok: construction-time
+    plan_.write_lane(*die, d);
+    if (d % kLanes == 0) {
+      // A block's first die also fills the block's padding lanes.
+      for (std::size_t pad = std::min(seeds_.size(), d + kLanes); pad < d + kLanes; ++pad) {
+        plan_.write_lane(*die, pad);
       }
     }
+    if (d == 0) ref_adc_ = std::move(die);
   }
 
   // One chunk workspace for the whole converter (reused by every block of
   // every capture; the kernel never allocates).
-  scratch_.assign(kLanes * kChunkSamples * proto_.slots, 0.0);
-  plane_.assign(kLanes * kChunkSamples * proto_.slots, 0.0);
+  scratch_.assign(kLanes * adc::pipeline::fast::kChunkSamples * plan_.slots(), 0.0);
+  plane_.assign(kLanes * adc::pipeline::fast::kChunkSamples * plan_.slots(), 0.0);
 }
 
 bool BatchConverter::supports_config(const adc::pipeline::AdcConfig& config) {
-  return config.fidelity == adc::common::FidelityProfile::kFast && config.num_stages >= 1 &&
-         config.num_stages <= static_cast<int>(kMaxBatchStages);
+  return config.fidelity == adc::common::FidelityProfile::kFast;
 }
 
 bool BatchConverter::supports_signal(const adc::dsp::Signal& signal) {
-  return dynamic_cast<const adc::dsp::SineSignal*>(&signal) != nullptr ||
-         dynamic_cast<const adc::dsp::MultiToneSignal*>(&signal) != nullptr;
+  return adc::pipeline::FastPlan::has_tones(signal);
 }
 
 bool BatchConverter::supports(const adc::pipeline::AdcConfig& config,
@@ -214,190 +58,32 @@ bool BatchConverter::supports(const adc::pipeline::AdcConfig& config,
   return supports_config(config) && supports_signal(signal);
 }
 
-void BatchConverter::extract_die(const adc::pipeline::PipelineAdc& adc, DieBlock& block,
-                                 std::size_t lane) {
-  block.noise_key[lane] = adc.noise_plane_key();
-  block.nominal_vref[lane] = adc.reference_buffer().spec().nominal_vref;
-  block.level_error[lane] = adc.reference_buffer().level_error();
-  block.ripple_sigma[lane] = adc.fast_ripple_sigma();
-
-  const std::size_t stride = proto_.num_stages * kLanes;
-  double* sl = block.stage_lane.data();
-  for (std::size_t i = 0; i < proto_.num_stages; ++i) {
-    const adc::pipeline::PipelineStage& st = adc.stage(i);
-    const adc::analog::Comparator& hi = st.high_comparator();
-    const adc::analog::Comparator& lo = st.low_comparator();
-    const adc::analog::Opamp::SettleCoeffs& sc = st.fast_settle();
-    const adc::analog::OpampParams& op = st.opamp().params();
-    const std::size_t at = i * kLanes + lane;
-    sl[kFSigmaSample * stride + at] = st.sample_noise_rms();
-    sl[kFOffHi * stride + at] = hi.offset();
-    sl[kFOffLo * stride + at] = lo.offset();
-    sl[kFNoiseHi * stride + at] = hi.noise_rms();
-    sl[kFNoiseLo * stride + at] = lo.noise_rms();
-    sl[kFMetaHi * stride + at] = hi.metastable_window();
-    sl[kFMetaLo * stride + at] = lo.metastable_window();
-    sl[kFDroopD0 * stride + at] = st.droop_d0();
-    sl[kFDroopD1 * stride + at] = st.droop_d1();
-    sl[kFGain * stride + at] = st.gain_realized();
-    sl[kFGdac * stride + at] = st.dac_gain();
-    sl[kFInvGainDenom * stride + at] = sc.inv_gain_denom;
-    sl[kFNegInvTau0 * stride + at] = sc.neg_inv_tau0;
-    sl[kFSr * stride + at] = sc.sr;
-    sl[kFSrTau0 * stride + at] = sc.sr_tau0;
-    sl[kFInvSwing * stride + at] = sc.inv_swing;
-    sl[kFGmCompression * stride + at] = op.gm_compression;
-    sl[kFOutputSwing * stride + at] = op.output_swing;
-  }
-
-  const std::size_t fstride = proto_.flash_count * kLanes;
-  double* fb = block.flash_lane.data();
-  for (std::size_t k = 0; k < proto_.flash_count; ++k) {
-    const adc::analog::Comparator& cmp = adc.flash().comparator(k);
-    const std::size_t at = k * kLanes + lane;
-    fb[kFFlashOff * fstride + at] = cmp.offset();
-    fb[kFFlashNoise * fstride + at] = cmp.noise_rms();
-    fb[kFFlashMeta * fstride + at] = cmp.metastable_window();
-  }
-}
-
-void BatchConverter::check_uniform(const adc::pipeline::PipelineAdc& adc) const {
-  // Dies share one config, so everything config-derived must come out
-  // identical. These checks are cheap insurance that a future seed-dependent
-  // parameter cannot silently break the lane-uniform kernel assumptions.
-  require(adc.noise_slots_per_sample() == proto_.slots,
-          "BatchConverter: die disagrees on noise-plane layout");
-  require(same_bits(adc.fast_settle_window(), proto_.settle_s),
-          "BatchConverter: die disagrees on the settle window");
-  require((adc.fast_ripple_sigma() > 0.0) == proto_.ripple_on,
-          "BatchConverter: die disagrees on the bias-ripple gate");
-  require(adc.resolution_bits() == ref_adc_->resolution_bits(),
-          "BatchConverter: die disagrees on resolution");
-  require(adc.flash().comparator_count() == proto_.flash_count,
-          "BatchConverter: die disagrees on flash geometry");
-  require(adc.config().enable.tracking_nonlinearity == proto_.tracking_nonlinearity,
-          "BatchConverter: die disagrees on the tracking gate");
-  require(same_bits(adc.config().clock.jitter_rms_s, proto_.jitter_rms) &&
-              same_bits(adc.config().clock.random_walk_rms_s, proto_.walk_rms) &&
-              same_bits(1.0 / adc.config().clock.frequency_hz, proto_.period),
-          "BatchConverter: die disagrees on clocking");
-
-  const adc::analog::RefBufferSpec& rspec = adc.reference_buffer().spec();
-  require(same_bits(rspec.charge_per_event, proto_.charge_per_event) &&
-              same_bits(rspec.decap_farad, proto_.decap) &&
-              same_bits(rspec.output_resistance,
-                        ref_adc_->reference_buffer().spec().output_resistance),
-          "BatchConverter: die disagrees on reference-buffer loading");
-
-  const adc::analog::DifferentialSampler& smp = adc.sampler();
-  bool sampler_ok = same_bits(smp.fit_vmax2(), proto_.fit_vmax2) &&
-                    (smp.switch_model().config().injection_fraction > 0.0) ==
-                        proto_.injection_on &&
-                    same_bits(smp.tau_fit().mid(), proto_.tau_mid) &&
-                    same_bits(smp.tau_fit().inv_half(), proto_.tau_inv_half) &&
-                    same_bits(smp.inj_fit().mid(), proto_.inj_mid) &&
-                    same_bits(smp.inj_fit().inv_half(), proto_.inj_inv_half);
-  const std::vector<double>& tc = smp.tau_fit().coefficients();
-  const std::vector<double>& ic = smp.inj_fit().coefficients();
-  sampler_ok = sampler_ok && (tc.empty() ? tau_coef_.size() == 1 : tc.size() == tau_coef_.size());
-  sampler_ok = sampler_ok && (ic.empty() ? inj_coef_.size() == 1 : ic.size() == inj_coef_.size());
-  for (std::size_t i = 0; sampler_ok && i < tc.size(); ++i) {
-    sampler_ok = same_bits(tc[i], tau_coef_[i]);
-  }
-  for (std::size_t i = 0; sampler_ok && i < ic.size(); ++i) {
-    sampler_ok = same_bits(ic[i], inj_coef_[i]);
-  }
-  require(sampler_ok, "BatchConverter: die disagrees on the sampler surrogates");
-
-  for (std::size_t k = 0; k < proto_.flash_count; ++k) {
-    require(same_bits(adc.flash().threshold_fraction(k), flash_frac_[k]),
-            "BatchConverter: die disagrees on flash thresholds");
-  }
-}
-
-PlanView BatchConverter::block_view(const DieBlock& block) const {
-  PlanView p = proto_;
-  p.noise_key = block.noise_key.data();
-  p.nominal_vref = block.nominal_vref.data();
-  p.level_error = block.level_error.data();
-  p.ripple_sigma = block.ripple_sigma.data();
-
-  const std::size_t stride = proto_.num_stages * kLanes;
-  const double* sl = block.stage_lane.data();
-  p.sigma_sample = sl + kFSigmaSample * stride;
-  p.off_hi = sl + kFOffHi * stride;
-  p.off_lo = sl + kFOffLo * stride;
-  p.noise_hi = sl + kFNoiseHi * stride;
-  p.noise_lo = sl + kFNoiseLo * stride;
-  p.meta_hi = sl + kFMetaHi * stride;
-  p.meta_lo = sl + kFMetaLo * stride;
-  p.droop_d0 = sl + kFDroopD0 * stride;
-  p.droop_d1 = sl + kFDroopD1 * stride;
-  p.gain = sl + kFGain * stride;
-  p.gdac = sl + kFGdac * stride;
-  p.inv_gain_denom = sl + kFInvGainDenom * stride;
-  p.neg_inv_tau0 = sl + kFNegInvTau0 * stride;
-  p.sr = sl + kFSr * stride;
-  p.sr_tau0 = sl + kFSrTau0 * stride;
-  p.inv_swing = sl + kFInvSwing * stride;
-  p.gm_compression = sl + kFGmCompression * stride;
-  p.output_swing = sl + kFOutputSwing * stride;
-
-  const std::size_t fstride = proto_.flash_count * kLanes;
-  const double* fb = block.flash_lane.data();
-  p.flash_off = fb + kFFlashOff * fstride;
-  p.flash_noise = fb + kFFlashNoise * fstride;
-  p.flash_meta = fb + kFFlashMeta * fstride;
-  return p;
-}
-
 std::vector<std::vector<int>> BatchConverter::convert(const adc::dsp::Signal& signal,
                                                       std::size_t n) {
-  // Captures share one epoch counter across every die, mirroring the scalar
+  // Captures share one epoch counter across every die, mirroring the
   // sequence "fresh die, k-th convert() call" die by die.
   const std::uint64_t epoch = ++epoch_;
-
-  // Hoist the stimulus into tone views with the scalar path's exact
-  // association: argument (2π·f)·t + φ, slope ((A·2π)·f)·cos.
-  constexpr double two_pi = 2.0 * std::numbers::pi;
-  tones_.clear();
-  if (const auto* sine = dynamic_cast<const adc::dsp::SineSignal*>(&signal)) {
-    proto_.multi_tone = false;
-    proto_.tone_offset = sine->offset();
-    tones_.reserve(1);  // capture boundary, not per-sample
-    tones_.push_back(ToneView{two_pi * sine->frequency(), sine->phase(), sine->amplitude(),
-                              sine->amplitude() * two_pi * sine->frequency()});
-  } else if (const auto* mt = dynamic_cast<const adc::dsp::MultiToneSignal*>(&signal)) {
-    proto_.multi_tone = true;
-    proto_.tone_offset = 0.0;
-    tones_.reserve(mt->tones().size());  // capture boundary, not per-sample
-    for (const adc::dsp::MultiToneSignal::Tone& t : mt->tones()) {
-      tones_.push_back(ToneView{two_pi * t.frequency_hz, t.phase_rad, t.amplitude,
-                                t.amplitude * two_pi * t.frequency_hz});
-    }
-  } else {
+  if (!supports_signal(signal)) {
     throw adc::common::ConfigError(
         "BatchConverter::convert: unsupported stimulus (see supports_signal)");
   }
-  proto_.tones = tones_.data();
-  proto_.tone_count = tones_.size();
+  plan_.set_signal(signal);
 
   std::vector<std::vector<int>> results(seeds_.size());
-  const bool any_pad = seeds_.size() % kLanes != 0;
-  if (any_pad && pad_.size() < n) pad_.resize(n);
-
-  for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    const DieBlock& blk = blocks_[b];
-    const PlanView p = block_view(blk);
+  if (seeds_.size() % kLanes != 0 && pad_.size() < n) pad_.resize(n);
+  for (std::size_t first = 0; first < seeds_.size(); first += kLanes) {
     std::array<int*, kLanes> out{};
-    for (std::size_t l = 0; l < blk.dies; ++l) {
-      std::vector<int>& codes = results[b * kLanes + l];
-      codes.resize(n);
-      out[l] = codes.data();
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      if (first + l < seeds_.size()) {
+        std::vector<int>& codes = results[first + l];
+        codes.resize(n);
+        out[l] = codes.data();
+      } else {
+        out[l] = pad_.data();
+      }
     }
-    for (std::size_t l = blk.dies; l < kLanes; ++l) out[l] = pad_.data();
-    const StateView st{scratch_.data(), plane_.data(), out.data()};
-    ops_->convert_capture(p, st, epoch, n);
+    const StateView st{scratch_.data(), plane_.data(), out.data(), nullptr, nullptr};
+    ops_->convert_capture(plan_.view(first / kLanes), st, epoch, n);
   }
   return results;
 }

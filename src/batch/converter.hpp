@@ -2,19 +2,18 @@
 /// BatchConverter: the owner side of the batch conversion engine.
 ///
 /// A BatchConverter fabricates D dies from one base configuration plus a
-/// seed list, hoists every per-sample invariant of the fast profile into
-/// structure-of-arrays die-blocks of kLanes lanes, and runs whole captures
-/// through the ISA-dispatched kernel (batch_api.hpp). Results are
-/// byte-identical to calling `PipelineAdc::convert()` die by die under the
-/// same fast profile — the engine is a throughput optimization, never a
-/// fidelity knob.
+/// seed list, writes them into one FastPlan (pipeline/fast_plan.hpp) in
+/// die-blocks of kLanes lanes, and runs whole captures through the
+/// ISA-dispatched kLanes-wide instantiation of the fast-profile kernel
+/// (batch_api.hpp). PipelineAdc::convert() runs the same kernel body at one
+/// lane, so results are byte-identical die by die — the engine is a
+/// throughput optimization, never a fidelity knob.
 ///
 /// Intended callers: the Monte-Carlo testbench (one converter per die
 /// block, blocks distributed by parallel_map) and the scenario runner
 /// (consecutive fast-profile jobs that differ only in seed).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -45,12 +44,13 @@ class BatchConverter {
   BatchConverter(const adc::pipeline::AdcConfig& base, std::span<const std::uint64_t> seeds,
                  std::optional<adc::common::BatchIsa> forced_isa = std::nullopt);
 
-  /// True when the batch engine can take this configuration: fast fidelity
-  /// profile and a stage count within the kernel's compile-time ceiling.
+  /// True when the batch engine can take this configuration: the fast
+  /// fidelity profile (the kernel takes every stage count PipelineAdc does).
   [[nodiscard]] static bool supports_config(const adc::pipeline::AdcConfig& config);
 
-  /// True when the stimulus has a batch kernel (SineSignal or
-  /// MultiToneSignal; the scalar path keeps everything else).
+  /// True when the batch engine converts this stimulus (SineSignal or
+  /// MultiToneSignal, hoisted into tones); PipelineAdc converts any other
+  /// signal die by die.
   [[nodiscard]] static bool supports_signal(const adc::dsp::Signal& signal);
 
   /// supports_config && supports_signal.
@@ -78,39 +78,17 @@ class BatchConverter {
   [[nodiscard]] double full_scale_vpp() const { return ref_adc_->full_scale_vpp(); }
 
  private:
-  /// Per-lane and per-(stage|flash, lane) plan arrays of one die block.
-  /// Lane-minor layout, ragged blocks padded by replicating lane 0.
-  struct DieBlock {
-    std::size_t dies = 0;  ///< real dies in this block (1..kLanes)
-    std::array<std::uint64_t, kLanes> noise_key{};
-    std::array<double, kLanes> nominal_vref{};
-    std::array<double, kLanes> level_error{};
-    std::array<double, kLanes> ripple_sigma{};
-    std::vector<double> stage_lane;  ///< [kStageFieldCount][num_stages][kLanes]
-    std::vector<double> flash_lane;  ///< [kFlashFieldCount][flash_count][kLanes]
-  };
-
-  void extract_die(const adc::pipeline::PipelineAdc& adc, DieBlock& block, std::size_t lane);
-  void check_uniform(const adc::pipeline::PipelineAdc& adc) const;
-  [[nodiscard]] PlanView block_view(const DieBlock& block) const;
-
   std::vector<std::uint64_t> seeds_;
   adc::common::BatchIsa isa_;
   const KernelOps* ops_ = nullptr;
 
-  /// First die, kept alive: uniform plan scalars, the sampler context for
-  /// the out-of-span fallbacks, and caller introspection.
+  /// First die, kept alive for caller introspection.
   std::unique_ptr<adc::pipeline::PipelineAdc> ref_adc_;
 
-  // Block-uniform plan data (identical across dies; verified at build).
-  PlanView proto_;  ///< uniform scalars filled once; per-block/per-call fields patched
-  std::vector<double> tau_coef_;
-  std::vector<double> inj_coef_;
-  std::vector<double> flash_frac_;
-  std::vector<long long> weights_;
-  std::vector<ToneView> tones_;  ///< rebuilt per convert() from the stimulus
-
-  std::vector<DieBlock> blocks_;
+  /// Every die in blocks of kLanes lanes; ragged blocks are padded with a
+  /// replica of their first die (lanes are independent, so the replicas
+  /// cannot perturb the real dies; their codes land in pad_).
+  adc::pipeline::FastPlan plan_;
 
   // Chunk workspace, allocated once and reused across captures, chunks and
   // die-blocks (hot-path-alloc contract: never grown inside the kernel).

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "digital/correction.hpp"
 
 namespace adc::calibration {
 
@@ -11,17 +12,16 @@ using adc::digital::RawConversion;
 using adc::digital::StageCode;
 
 CalibrationTable CalibrationTable::nominal(int num_stages, int flash_bits) {
-  require(num_stages >= 1, "CalibrationTable: need at least one stage");
-  require(flash_bits >= 1, "CalibrationTable: need a flash");
+  // The hardware shift-and-add's constants (which validates the geometry).
+  const adc::digital::ErrorCorrection correction(num_stages, flash_bits);
   CalibrationTable t;
   t.num_stages = num_stages;
   t.flash_bits = flash_bits;
-  const int bits = num_stages + flash_bits;
   t.stage_weights.resize(static_cast<std::size_t>(num_stages));
-  for (int i = 0; i < num_stages; ++i) {
-    t.stage_weights[static_cast<std::size_t>(i)] = std::ldexp(1.0, bits - 2 - i);
+  for (std::size_t i = 0; i < t.stage_weights.size(); ++i) {
+    t.stage_weights[i] = static_cast<double>(correction.stage_weight(i));
   }
-  t.offset = std::ldexp(1.0, bits - 1) - std::ldexp(1.0, flash_bits - 1);
+  t.offset = static_cast<double>(correction.offset());
   return t;
 }
 

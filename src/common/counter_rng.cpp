@@ -8,10 +8,10 @@ namespace adc::common {
 
 void philox_normal_fill(std::uint64_t key, std::uint64_t stream, std::uint64_t first,
                         std::span<double> out) {
-  // Body lives in counter_rng_tile.hpp so the batch engine's per-ISA
-  // translation units can re-compile the identical algorithm with wider
-  // vector code generation. This baseline-compiled symbol stays the one the
-  // scalar fast profile (NoisePlane) links against.
+  // Body lives in counter_rng_tile.hpp so the fast kernel's translation
+  // units (the one-lane baseline one and the batch engine's per-ISA ones)
+  // re-compile the identical algorithm inline. This baseline-compiled
+  // symbol backs NoisePlane.
   tile::philox_normal_fill_ptr(key, stream, first, out.data(), out.size());
 }
 

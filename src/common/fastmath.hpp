@@ -121,7 +121,7 @@ ADC_ALWAYS_INLINE inline double exp_fast(double x) {
 /// coefficients converge to the Mercator series (-1/2, 1/3, -1/4, ...);
 /// the high-order ones absorb the equioscillating remainder. Evaluated as
 /// even/odd Horner halves in t² (Estrin) so the two chains overlap — the
-/// serial latency matters in the scalar fast path, and the split costs
+/// serial latency matters in scalar callers, and the split costs
 /// nothing in the vectorized tile loop.
 ADC_ALWAYS_INLINE inline double log1p_core(double t) {
   const double z = t * t;
@@ -203,7 +203,8 @@ ADC_ALWAYS_INLINE inline double log1p_fast(double x) {
 /// Association matters: `(h·y)·y` keeps intermediates normal even at
 /// DBL_MAX, where `h·(y·y)` would round through a subnormal.
 ADC_ALWAYS_INLINE inline double sqrt_fast(double x) {
-  ADC_EXPECT(x == 0.0 || x >= 0x1p-1022,
+  // (bits << 1) == 0 is x == ±0, spelled without -Wfloat-equal.
+  ADC_EXPECT((std::bit_cast<std::uint64_t>(x) << 1) == 0 || x >= 0x1p-1022,
              "sqrt_fast: argument must be +0 or a positive normal double");
   const double h = 0.5 * x;
   double y = std::bit_cast<double>(0x5FE6EB50C7B537A9ull -

@@ -16,7 +16,11 @@
 ///    Box–Muller transform, pre-generated as contiguous *noise planes*
 ///    indexed by `(sample, draw_slot)` — determinism is positional, not
 ///    sequential — and the hot transcendentals route through the
-///    SIMD-friendly polynomial kernels of `common/fastmath.hpp`.
+///    SIMD-friendly polynomial kernels of `common/fastmath.hpp`. The
+///    contract has one implementation, the conversion kernel body of
+///    `pipeline/fast_kernel_impl.hpp`: `PipelineAdc` runs it at one lane,
+///    the batch engine (`src/batch/`) at eight, and both produce the same
+///    codes die for die.
 ///
 /// Construction-time Monte-Carlo draws (capacitor mismatch, comparator
 /// offsets, reference level errors, ...) always use the exact `Rng` facade

@@ -14,6 +14,7 @@
 /// exercise this to the boundary.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "digital/codes.hpp"
@@ -23,6 +24,9 @@ namespace adc::digital {
 /// Combines raw stage codes into final output words.
 class ErrorCorrection {
  public:
+  /// Largest total resolution (num_stages + flash_bits) the adder takes.
+  static constexpr int kMaxResolutionBits = 20;
+
   /// `num_stages` 1.5-bit stages followed by a `flash_bits`-bit flash.
   /// Total resolution = num_stages + flash_bits.
   ErrorCorrection(int num_stages, int flash_bits);
@@ -37,6 +41,22 @@ class ErrorCorrection {
 
   /// Mid-scale output code (all stage decisions zero, flash at half).
   [[nodiscard]] int mid_code() const;
+
+  // The constants of the shift-and-add, shared by every reconstruction of
+  // the output word (correct(), the fast kernel's plan, the nominal
+  // calibration table).
+
+  /// Accumulator start: 2^(bits-1) - 2^(flash_bits-1), so the all-zero
+  /// decision path with a mid flash code lands at mid-scale.
+  [[nodiscard]] long long offset() const {
+    return (1LL << (resolution_bits() - 1)) - (1LL << (flash_bits_ - 1));
+  }
+  /// Weight of stage `i`'s decision (0-based, MSB first): 2^(bits-2-i).
+  [[nodiscard]] long long stage_weight(std::size_t i) const {
+    return 1LL << (resolution_bits() - 2 - static_cast<int>(i));
+  }
+  /// Saturation ceiling 2^bits - 1.
+  [[nodiscard]] long long max_code() const { return (1LL << resolution_bits()) - 1; }
 
  private:
   int num_stages_;

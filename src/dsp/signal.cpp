@@ -5,7 +5,6 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
-#include "common/fastmath.hpp"
 
 namespace adc::dsp {
 
@@ -27,14 +26,6 @@ double SineSignal::slope(double t) const {
   return amplitude_ * two_pi * frequency_ * std::cos(two_pi * frequency_ * t + phase_);
 }
 
-void SineSignal::sample_fast(double t, double& value_out, double& slope_out) const {
-  double s = 0.0;
-  double c = 0.0;
-  adc::common::fastmath::sincos_fast(two_pi * frequency_ * t + phase_, s, c);
-  value_out = offset_ + amplitude_ * s;
-  slope_out = amplitude_ * two_pi * frequency_ * c;
-}
-
 MultiToneSignal::MultiToneSignal(std::vector<Tone> tones) : tones_(std::move(tones)) {
   adc::common::require(!tones_.empty(), "MultiToneSignal: no tones");
 }
@@ -54,20 +45,6 @@ double MultiToneSignal::slope(double t) const {
          std::cos(two_pi * tone.frequency_hz * t + tone.phase_rad);
   }
   return v;
-}
-
-void MultiToneSignal::sample_fast(double t, double& value_out, double& slope_out) const {
-  double v = 0.0;
-  double dv = 0.0;
-  for (const auto& tone : tones_) {
-    double s = 0.0;
-    double c = 0.0;
-    adc::common::fastmath::sincos_fast(two_pi * tone.frequency_hz * t + tone.phase_rad, s, c);
-    v += tone.amplitude * s;
-    dv += tone.amplitude * two_pi * tone.frequency_hz * c;
-  }
-  value_out = v;
-  slope_out = dv;
 }
 
 RampSignal::RampSignal(double start, double stop, double duration_s)

@@ -24,10 +24,11 @@ class Signal {
   /// Instantaneous time derivative [V/s] at time t [s].
   [[nodiscard]] virtual double slope(double t) const = 0;
 
-  /// `fast`-profile evaluation: value and slope together, with the
-  /// transcendentals routed through common/fastmath.hpp where a source
-  /// overrides it (sines share one sincos). The default falls back to the
-  /// exact pair, so purely algebraic sources need no override.
+  /// `fast`-profile evaluation: value and slope together. The fast kernel
+  /// evaluates SineSignal and MultiToneSignal itself (one fastmath sincos
+  /// per tone, pipeline/fast_kernel_impl.hpp) and samples every other
+  /// source through this hook; the default returns the exact pair, so
+  /// purely algebraic sources need no override.
   virtual void sample_fast(double t, double& value_out, double& slope_out) const {
     value_out = value(t);
     slope_out = slope(t);
@@ -42,7 +43,6 @@ class SineSignal final : public Signal {
 
   [[nodiscard]] double value(double t) const override;
   [[nodiscard]] double slope(double t) const override;
-  void sample_fast(double t, double& value_out, double& slope_out) const override;
 
   [[nodiscard]] double amplitude() const { return amplitude_; }
   [[nodiscard]] double frequency() const { return frequency_; }
@@ -68,7 +68,6 @@ class MultiToneSignal final : public Signal {
 
   [[nodiscard]] double value(double t) const override;
   [[nodiscard]] double slope(double t) const override;
-  void sample_fast(double t, double& value_out, double& slope_out) const override;
 
   [[nodiscard]] const std::vector<Tone>& tones() const { return tones_; }
 

@@ -1,31 +1,13 @@
 #include "pipeline/adc.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
-#include "pipeline/fast_layout.hpp"
+#include "pipeline/fast_kernel.hpp"
 
 namespace adc::pipeline {
 
 using adc::common::require;
-
-namespace {
-
-// Noise-plane slot layout of the fast profile: shared with the batch engine
-// via pipeline/fast_layout.hpp (the batch kernels must consume the same
-// positional draws to stay bit-identical).
-using fast_layout::kSlotJitter;
-using fast_layout::kSlotRipple;
-using fast_layout::kSlotsPerStage;
-using fast_layout::kSlotStageBase;
-using fast_layout::kSlotWalk;
-/// Samples per plane generation: bounds the buffer (~1.2 MB at the nominal
-/// 36 slots/sample) while keeping the fill loop long enough to vectorize.
-/// Chunking cannot change any value — draws are positional.
-constexpr std::size_t kPlaneChunkSamples = 4096;
-
-}  // namespace
 
 NonIdealities NonIdealities::all_off() {
   NonIdealities f;
@@ -205,13 +187,6 @@ PipelineAdc::PipelineAdc(const AdcConfig& config)
   // full differential scale with 2x overdrive margin (beyond that the fast
   // getters fall back to the direct expressions).
   sampler_.prepare_fast(config_.full_scale_vpp);
-
-  // Fast-profile noise plane: keyed by the conversion-noise sub-stream seed
-  // (a hash of the die seed), so distinct dies get independent planes and
-  // the key costs nothing the exact profile doesn't already pay.
-  const auto noise_slots = static_cast<std::uint32_t>(
-      kSlotStageBase + kSlotsPerStage * stages_.size() + flash_.comparator_count());
-  noise_plane_ = adc::common::NoisePlane(noise_rng_.seed(), noise_slots);
 }
 
 double PipelineAdc::lsb() const {
@@ -255,152 +230,52 @@ adc::digital::RawConversion PipelineAdc::quantize_sample(double sampled) {
   return raw;
 }
 
-adc::digital::RawConversion PipelineAdc::quantize_sample_fast(double sampled,
-                                                              const double* draws) {
-  const double settle_s = settle_s_;
-
-  // Ripple scales every leg current by the same factor f; instead of
-  // re-deriving each stage's settle constants from its rippled current
-  // (a sqrt + division chain per stage), rescale them analytically:
-  // GBW ~ sqrt(I) so tau /= sqrt(f), SR ~ I so sr *= f. One sqrt per sample
-  // covers all stages.
-  double f = 1.0;
-  double sqrt_f = 1.0;
-  if (ripple_sigma_ > 0.0) {
-    f = std::max(1.0 + ripple_sigma_ * draws[kSlotRipple], 0x1p-20);
-    sqrt_f = std::sqrt(f);
+void PipelineAdc::capture_fast(std::size_t n, int* codes, int* raw) {
+  if (fast_plan_stale_) {
+    fast_plan_.write_lane(*this, 0);
+    fast_rows_.resize(fast::kChunkSamples * fast_plan_.slots());
+    fast_plan_stale_ = false;
   }
+  int* const out[1] = {codes};
+  int* const raws[1] = {raw};
+  // The kernel carries the reference droop in and out, so DC conversions
+  // see the droop the previous call left, as the exact profile does.
+  double droop = refs_.droop();
+  const fast::StateView state{nullptr, fast_rows_.data(), codes != nullptr ? out : nullptr,
+                              raw != nullptr ? raws : nullptr, &droop};
+  fast::convert_capture(fast_plan_.view(0), state, ++fast_epoch_, n);
+  refs_.set_droop(droop);
+}
 
-  const double vref = refs_.vref();
-
-  adc::digital::RawConversion raw;
-  double x = sampled;
-  double activity = 0.0;
+adc::digital::RawConversion PipelineAdc::raw_conversion(const int* raw) const {
+  adc::digital::RawConversion conv;
+  conv.stage_codes.assign(stages_.size(), adc::digital::StageCode::kZero);
   for (std::size_t i = 0; i < stages_.size(); ++i) {
-    const auto r = stages_[i].process_fast(x, vref, sqrt_f, f, settle_s,
-                                           draws + kSlotStageBase + kSlotsPerStage * i);
-    raw.stage_codes.push_back(r.code);  // lint-ok: StageCodeVec is fixed-capacity inline storage
-    activity += std::abs(static_cast<double>(adc::digital::value(r.code)));
-    x = r.residue;
+    conv.stage_codes[i] = static_cast<adc::digital::StageCode>(raw[i]);
   }
-  raw.flash_code =
-      flash_.quantize_fast(x, vref, draws + kSlotStageBase + kSlotsPerStage * stages_.size());
-
-  refs_.consume(activity, inv_rate_);
-  return raw;
+  conv.flash_code = static_cast<adc::digital::FlashCode>(raw[stages_.size()]);
+  return conv;
 }
 
-double PipelineAdc::tracked_sample_fast(const adc::dsp::Signal& signal, std::size_t k,
-                                        const double* draws, double& walk_s) const {
-  // Jittered sampling instant from the clock's plane slots (same physics as
-  // SamplingClock::sample_instant, positional deviates instead of
-  // sequential draws).
-  double t = static_cast<double>(k) * clock_.period();
-  if (clock_.jitter_rms() > 0.0) t += clock_.jitter_rms() * draws[kSlotJitter];
-  if (clock_.random_walk_rms() > 0.0) {
-    walk_s += clock_.random_walk_rms() * draws[kSlotWalk];
-    t += walk_s;
-  }
-  double v = 0.0;
-  double dvdt = 0.0;
-  signal.sample_fast(t, v, dvdt);
-  double tracked = v;
-  if (config_.enable.tracking_nonlinearity) {
-    tracked += sampler_.tracking_error_fast(v, dvdt);
-    tracked += sampler_.charge_injection_error_fast(v);
-  }
-  return tracked;
-}
-
-double PipelineAdc::front_end_fast(double v_diff) const {
-  if (!config_.enable.tracking_nonlinearity) return v_diff;
-  return v_diff + sampler_.charge_injection_error_fast(v_diff);
-}
-
-adc::digital::RawConversion PipelineAdc::quantize_dc_fast(double tracked) {
-  // A DC conversion is its own one-sample capture (epoch bump), so repeated
-  // calls see fresh noise exactly like repeated exact-profile calls do.
-  noise_plane_.generate(++fast_epoch_, 0, 1);
-  return quantize_sample_fast(tracked, noise_plane_.row(0));
-}
-
-std::vector<int> PipelineAdc::convert_fast(const adc::dsp::Signal& signal, std::size_t n) {
-  const std::uint64_t epoch = ++fast_epoch_;
-  std::vector<int> codes;
-  codes.reserve(n);
-  double walk_s = 0.0;
-  for (std::size_t base = 0; base < n; base += kPlaneChunkSamples) {
-    const std::size_t count = std::min(kPlaneChunkSamples, n - base);
-    noise_plane_.generate(epoch, base, count);
-    for (std::size_t k = base; k < base + count; ++k) {
-      const double* draws = noise_plane_.row(k);
-      const double tracked = tracked_sample_fast(signal, k, draws, walk_s);
-      codes.push_back(correction_.correct(quantize_sample_fast(tracked, draws)));
-    }
-  }
-  return codes;
-}
-
-StreamResult PipelineAdc::convert_stream_fast(const adc::dsp::Signal& signal, std::size_t n) {
-  const std::uint64_t epoch = ++fast_epoch_;
-  StreamResult result;
-  result.latency_cycles = alignment_.latency_cycles();
-  result.codes.reserve(n);
-  double walk_s = 0.0;
-  for (std::size_t base = 0; base < n; base += kPlaneChunkSamples) {
-    const std::size_t count = std::min(kPlaneChunkSamples, n - base);
-    noise_plane_.generate(epoch, base, count);
-    for (std::size_t k = base; k < base + count; ++k) {
-      const double* draws = noise_plane_.row(k);
-      const double tracked = tracked_sample_fast(signal, k, draws, walk_s);
-      if (auto aligned = alignment_.push(quantize_sample_fast(tracked, draws))) {
-        result.codes.push_back(correction_.correct(*aligned));
-      }
-    }
-  }
-  while (auto aligned = alignment_.flush()) {
-    result.codes.push_back(correction_.correct(*aligned));
-    if (result.codes.size() >= n) break;
-  }
-  return result;
-}
-
-std::vector<adc::digital::RawConversion> PipelineAdc::convert_raw_fast(
-    const adc::dsp::Signal& signal, std::size_t n) {
-  const std::uint64_t epoch = ++fast_epoch_;
+std::vector<adc::digital::RawConversion> PipelineAdc::raw_capture_fast(std::size_t n) {
+  const std::size_t stride = stages_.size() + 1;
+  std::vector<int> raw(n * stride);
+  capture_fast(n, nullptr, raw.data());
   std::vector<adc::digital::RawConversion> raws;
   raws.reserve(n);
-  double walk_s = 0.0;
-  for (std::size_t base = 0; base < n; base += kPlaneChunkSamples) {
-    const std::size_t count = std::min(kPlaneChunkSamples, n - base);
-    noise_plane_.generate(epoch, base, count);
-    for (std::size_t k = base; k < base + count; ++k) {
-      const double* draws = noise_plane_.row(k);
-      raws.push_back(quantize_sample_fast(tracked_sample_fast(signal, k, draws, walk_s), draws));
-    }
-  }
+  for (std::size_t k = 0; k < n; ++k) raws.push_back(raw_conversion(raw.data() + k * stride));
   return raws;
-}
-
-std::vector<int> PipelineAdc::convert_samples_fast(std::span<const double> voltages) {
-  const std::uint64_t epoch = ++fast_epoch_;
-  std::vector<int> codes;
-  codes.reserve(voltages.size());
-  for (std::size_t base = 0; base < voltages.size(); base += kPlaneChunkSamples) {
-    const std::size_t count = std::min(kPlaneChunkSamples, voltages.size() - base);
-    noise_plane_.generate(epoch, base, count);
-    for (std::size_t k = base; k < base + count; ++k) {
-      codes.push_back(correction_.correct(
-          quantize_sample_fast(front_end_fast(voltages[k]), noise_plane_.row(k))));
-    }
-  }
-  return codes;
 }
 
 std::vector<int> PipelineAdc::convert(const adc::dsp::Signal& signal, std::size_t n) {
   reset_state();
-  if (config_.fidelity == adc::common::FidelityProfile::kFast) return convert_fast(signal, n);
   std::vector<int> codes;
+  if (config_.fidelity == adc::common::FidelityProfile::kFast) {
+    codes.resize(n);
+    fast_plan_.set_signal(signal);
+    capture_fast(n, codes.data(), nullptr);
+    return codes;
+  }
   codes.reserve(n);
   for (std::size_t k = 0; k < n; ++k) {
     const double t = clock_.sample_instant(k);
@@ -417,22 +292,27 @@ std::vector<int> PipelineAdc::convert(const adc::dsp::Signal& signal, std::size_
 
 StreamResult PipelineAdc::convert_stream(const adc::dsp::Signal& signal, std::size_t n) {
   reset_state();
-  if (config_.fidelity == adc::common::FidelityProfile::kFast) {
-    return convert_stream_fast(signal, n);
-  }
   StreamResult result;
   result.latency_cycles = alignment_.latency_cycles();
   result.codes.reserve(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const double t = clock_.sample_instant(k);
-    const double v = signal.value(t);
-    double tracked = v;
-    if (config_.enable.tracking_nonlinearity) {
-      tracked += sampler_.tracking_error(v, signal.slope(t));
-      tracked += sampler_.charge_injection_error(v);
-    }
-    if (auto aligned = alignment_.push(quantize_sample(tracked))) {
+  const auto push = [&](const adc::digital::RawConversion& raw) {
+    if (auto aligned = alignment_.push(raw)) {
       result.codes.push_back(correction_.correct(*aligned));
+    }
+  };
+  if (config_.fidelity == adc::common::FidelityProfile::kFast) {
+    fast_plan_.set_signal(signal);
+    for (const adc::digital::RawConversion& raw : raw_capture_fast(n)) push(raw);
+  } else {
+    for (std::size_t k = 0; k < n; ++k) {
+      const double t = clock_.sample_instant(k);
+      const double v = signal.value(t);
+      double tracked = v;
+      if (config_.enable.tracking_nonlinearity) {
+        tracked += sampler_.tracking_error(v, signal.slope(t));
+        tracked += sampler_.charge_injection_error(v);
+      }
+      push(quantize_sample(tracked));
     }
   }
   while (auto aligned = alignment_.flush()) {
@@ -444,10 +324,13 @@ StreamResult PipelineAdc::convert_stream(const adc::dsp::Signal& signal, std::si
 
 std::vector<int> PipelineAdc::convert_samples(std::span<const double> voltages) {
   reset_state();
-  if (config_.fidelity == adc::common::FidelityProfile::kFast) {
-    return convert_samples_fast(voltages);
-  }
   std::vector<int> codes;
+  if (config_.fidelity == adc::common::FidelityProfile::kFast) {
+    codes.resize(voltages.size());
+    fast_plan_.set_voltages(voltages.data());
+    capture_fast(voltages.size(), codes.data(), nullptr);
+    return codes;
+  }
   codes.reserve(voltages.size());
   for (double v : voltages) {
     codes.push_back(correction_.correct(quantize_sample(front_end(v))));
@@ -456,15 +339,24 @@ std::vector<int> PipelineAdc::convert_samples(std::span<const double> voltages) 
 }
 
 int PipelineAdc::convert_dc(double v_diff) {
+  // Under the fast profile a DC conversion is its own one-sample capture
+  // (epoch bump), so repeated calls see fresh noise like exact-profile
+  // calls do.
   if (config_.fidelity == adc::common::FidelityProfile::kFast) {
-    return correction_.correct(quantize_dc_fast(front_end_fast(v_diff)));
+    int code = 0;
+    fast_plan_.set_voltages(&v_diff);
+    capture_fast(1, &code, nullptr);
+    return code;
   }
   return correction_.correct(quantize_sample(front_end(v_diff)));
 }
 
 adc::digital::RawConversion PipelineAdc::convert_dc_raw(double v_diff) {
   if (config_.fidelity == adc::common::FidelityProfile::kFast) {
-    return quantize_dc_fast(front_end_fast(v_diff));
+    int raw[fast::kMaxStages + 1] = {};
+    fast_plan_.set_voltages(&v_diff);
+    capture_fast(1, nullptr, raw);
+    return raw_conversion(raw);
   }
   return quantize_sample(front_end(v_diff));
 }
@@ -473,7 +365,8 @@ std::vector<adc::digital::RawConversion> PipelineAdc::convert_raw(
     const adc::dsp::Signal& signal, std::size_t n) {
   reset_state();
   if (config_.fidelity == adc::common::FidelityProfile::kFast) {
-    return convert_raw_fast(signal, n);
+    fast_plan_.set_signal(signal);
+    return raw_capture_fast(n);
   }
   std::vector<adc::digital::RawConversion> raws;
   raws.reserve(n);

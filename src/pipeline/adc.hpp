@@ -33,12 +33,12 @@
 #include "clocking/clock.hpp"
 #include "clocking/two_phase.hpp"
 #include "common/fidelity.hpp"
-#include "common/noise_plane.hpp"
 #include "common/random.hpp"
 #include "common/units.hpp"
 #include "digital/alignment.hpp"
 #include "digital/correction.hpp"
 #include "dsp/signal.hpp"
+#include "pipeline/fast_plan.hpp"
 #include "pipeline/flash.hpp"
 #include "pipeline/scaling.hpp"
 #include "pipeline/stage.hpp"
@@ -159,6 +159,7 @@ class PipelineAdc {
   /// restores normal operation.
   void force_stage_code(std::size_t i, std::optional<adc::digital::StageCode> code) {
     stages_.at(i).force_code(code);
+    fast_plan_stale_ = true;
   }
 
   // --- introspection ---
@@ -172,7 +173,13 @@ class PipelineAdc {
 
   [[nodiscard]] std::size_t stage_count() const { return stages_.size(); }
   [[nodiscard]] const PipelineStage& stage(std::size_t i) const { return stages_.at(i); }
-  PipelineStage& stage_mutable(std::size_t i) { return stages_.at(i); }
+  /// Mutable stage access (failure injection). Under the fast profile the
+  /// next conversion re-reads the stages into the kernel plan, so mutate
+  /// through the reference before converting, not across conversions.
+  PipelineStage& stage_mutable(std::size_t i) {
+    fast_plan_stale_ = true;
+    return stages_.at(i);
+  }
   [[nodiscard]] const FlashConverter& flash() const { return flash_; }
 
   /// Noise-free residue at the output of stage `stage_index` for DC input
@@ -196,25 +203,14 @@ class PipelineAdc {
   [[nodiscard]] const adc::bias::BiasSource& bias_source() const { return *bias_; }
   [[nodiscard]] const adc::digital::DelayAlignment& alignment() const { return alignment_; }
 
-  // --- fast-path plan introspection (batch engine, src/batch) ---
-  // The hoisted per-capture invariants of the fast profile, exposed so a
-  // BatchConverter can replicate the conversion loop in SoA form. The batch
-  // kernels pin bit-identity against convert(); these accessors are how the
-  // plan is extracted without friending the internals.
-  [[nodiscard]] std::uint64_t noise_plane_key() const { return noise_plane_.key(); }
-  [[nodiscard]] std::size_t noise_slots_per_sample() const {
-    return noise_plane_.slots_per_sample();
-  }
-  [[nodiscard]] double fast_settle_window() const { return settle_s_; }
-  [[nodiscard]] double fast_ripple_sigma() const { return ripple_sigma_; }
-  [[nodiscard]] const adc::analog::DifferentialSampler& sampler() const { return sampler_; }
-  [[nodiscard]] const adc::analog::ReferenceBuffer& reference_buffer() const { return refs_; }
-
   /// Reset dynamic state (reference droop, alignment registers) for a fresh
   /// capture; Monte-Carlo draws (mismatch, offsets) are preserved.
   void reset_state();
 
  private:
+  /// Reads the realized components into the kernel plan.
+  friend class FastPlan;
+
   /// Apply the NonIdealities flags by zeroing the corresponding parameters.
   static AdcConfig normalize(AdcConfig config);
 
@@ -224,21 +220,13 @@ class PipelineAdc {
   /// Core quantization of one sampled-and-held voltage.
   [[nodiscard]] adc::digital::RawConversion quantize_sample(double sampled);
 
-  // --- fast-profile machinery (positional determinism; see
-  // common/fidelity.hpp). Each capture bumps `fast_epoch_` and reads its
-  // noise from a freshly generated plane; slot layout in adc.cpp. ---
-  [[nodiscard]] adc::digital::RawConversion quantize_sample_fast(double sampled,
-                                                                 const double* draws);
-  [[nodiscard]] double tracked_sample_fast(const adc::dsp::Signal& signal, std::size_t k,
-                                           const double* draws, double& walk_s) const;
-  [[nodiscard]] double front_end_fast(double v_diff) const;
-  [[nodiscard]] adc::digital::RawConversion quantize_dc_fast(double tracked);
-  [[nodiscard]] std::vector<int> convert_fast(const adc::dsp::Signal& signal, std::size_t n);
-  [[nodiscard]] StreamResult convert_stream_fast(const adc::dsp::Signal& signal,
-                                                 std::size_t n);
-  [[nodiscard]] std::vector<adc::digital::RawConversion> convert_raw_fast(
-      const adc::dsp::Signal& signal, std::size_t n);
-  [[nodiscard]] std::vector<int> convert_samples_fast(std::span<const double> voltages);
+  // --- fast profile (positional determinism; see common/fidelity.hpp) ---
+  /// One capture of `n` samples through the one-lane kernel, over the
+  /// stimulus bound to fast_plan_: corrected codes into `codes` [n] and/or
+  /// raw conversions into `raw` [n × (stages + 1)] (either may be null).
+  void capture_fast(std::size_t n, int* codes, int* raw);
+  [[nodiscard]] std::vector<adc::digital::RawConversion> raw_capture_fast(std::size_t n);
+  [[nodiscard]] adc::digital::RawConversion raw_conversion(const int* raw) const;
 
   AdcConfig config_;
   adc::common::Rng rng_;
@@ -270,12 +258,15 @@ class PipelineAdc {
   std::vector<double> leg_currents_;       ///< per-stage bias at master_base_
 
   // --- fast-profile state ---
-  /// Per-capture noise draws, `(sample, slot)`-indexed; keyed by the
-  /// conversion-noise sub-stream seed so dies stay independent.
-  adc::common::NoisePlane noise_plane_;
-  /// Capture counter = plane stream id. Advances once per capture/DC call
-  /// and is deliberately NOT reset by reset_state(): repeated captures see
-  /// fresh noise, mirroring how the exact profile's sequential stream
+  /// This die as a one-lane kernel plan; rebuilt at the next fast
+  /// conversion after stage_mutable() or force_stage_code().
+  FastPlan fast_plan_;
+  bool fast_plan_stale_ = true;
+  /// One chunk of noise rows (kChunkSamples × slots), reused by every capture.
+  std::vector<double> fast_rows_;
+  /// Capture counter = noise-plane stream id. Advances once per capture/DC
+  /// call and is deliberately NOT reset by reset_state(): repeated captures
+  /// see fresh noise, mirroring how the exact profile's sequential stream
   /// advances across calls.
   std::uint64_t fast_epoch_ = 0;
 };

@@ -34,18 +34,6 @@ adc::digital::FlashCode FlashConverter::quantize(double v, double vref) {
   return static_cast<adc::digital::FlashCode>(count);
 }
 
-adc::digital::FlashCode FlashConverter::quantize_fast(double v, double vref,
-                                                      const double* draws) const {
-  unsigned count = 0;
-  for (std::size_t k = 0; k < comparators_.size(); ++k) {
-    if (comparators_[k].decide_with_threshold_draw(v, threshold_fractions_[k] * vref,
-                                                   draws[k])) {
-      ++count;
-    }
-  }
-  return static_cast<adc::digital::FlashCode>(count);
-}
-
 adc::digital::FlashCode FlashConverter::ideal_quantize(double v) const {
   unsigned count = 0;
   for (double frac : threshold_fractions_) {

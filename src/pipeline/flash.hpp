@@ -30,29 +30,19 @@ class FlashConverter {
   /// the MDACs in silicon.
   [[nodiscard]] adc::digital::FlashCode quantize(double v, double vref);
 
-  /// `fast`-profile quantization: comparator k reads the standard-normal
-  /// deviate `draws[k]` from its noise-plane slot; const because no
-  /// sequential draws are consumed.
-  [[nodiscard]] adc::digital::FlashCode quantize_fast(double v, double vref,
-                                                      const double* draws) const;
-
   /// Noise-free decision at nominal thresholds.
   [[nodiscard]] adc::digital::FlashCode ideal_quantize(double v) const;
 
   [[nodiscard]] int bits() const { return bits_; }
   [[nodiscard]] std::size_t comparator_count() const { return comparators_.size(); }
-  /// Comparator k's threshold as a fraction of the live reference (batch
-  /// plan hoisting: the fast path computes threshold = fraction * vref).
-  [[nodiscard]] double threshold_fraction(std::size_t k) const { return threshold_fractions_[k]; }
-  /// Realized comparator k (batch plan hoisting: offset/noise/metastability).
-  [[nodiscard]] const adc::analog::Comparator& comparator(std::size_t k) const {
-    return comparators_[k];
-  }
   [[nodiscard]] double nominal_threshold(std::size_t k) const {
     return threshold_fractions_[k] * vref_nominal_;
   }
 
  private:
+  /// Reads the realized comparators into the fast kernel's plan.
+  friend class FastPlan;
+
   int bits_;
   double vref_nominal_;
   /// Ladder tap positions as fractions of the reference.

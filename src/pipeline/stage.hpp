@@ -77,12 +77,12 @@ class PipelineStage {
   [[nodiscard]] StageResult process(double v_in, double vref, double ibias, double settle_s,
                                     double hold_s, adc::common::Rng& noise_rng);
 
-  /// Precompute the fast-profile per-sample constants: the settle
-  /// coefficients at this stage's ripple-free bias current, and the hold
-  /// droop as an affine map of the sampled voltage. The droop model is
-  /// affine in the node voltages, so for a fixed hold window the
-  /// differential droop collapses to d0 + d1*v — two flops instead of the
-  /// two divides of the general expression. PipelineAdc calls this once at
+  /// Precompute the fast-profile per-sample constants (read into the kernel
+  /// plan by FastPlan): the settle coefficients at this stage's ripple-free
+  /// bias current, and the hold droop as an affine map of the sampled
+  /// voltage. The droop model is affine in the node voltages, so for a
+  /// fixed hold window the differential droop collapses to d0 + d1*v — two
+  /// flops instead of the two divides of the general expression. PipelineAdc calls this once at
   /// construction with its phase-generator hold window.
   void prepare_fast(double ibias_base, double hold_s) {
     fast_settle_ = opamp_.settle_coeffs(beta_, ibias_base);
@@ -97,18 +97,6 @@ class PipelineStage {
       droop_d1_ = base * (0.5 * spec.k_v) * (sp + sn);
     }
   }
-
-  /// `fast`-profile processing: identical structure to process(), but noise
-  /// comes from this stage's three noise-plane slots — `draws[0]` thermal,
-  /// `draws[1]` the +V_REF/4 comparator, `draws[2]` the -V_REF/4 comparator
-  /// (a slot is simply unread when redundancy short-circuits the low
-  /// comparator) — the settling exponential uses the polynomial kernel, the
-  /// hold droop is the affine map bound by prepare_fast() (which fixes the
-  /// hold window), and the bias ripple arrives as the analytic rescale
-  /// factors `sqrt_f` and `f` (both 1.0 when ripple is off) applied to the
-  /// settle constants: tau scales by 1/sqrt(f), slew rate by f.
-  [[nodiscard]] StageResult process_fast(double v_in, double vref, double sqrt_f, double f,
-                                         double settle_s, const double* draws);
 
   /// Noise-free ADSC decision at nominal thresholds (for residue plots and
   /// the ideal transfer).
@@ -127,20 +115,6 @@ class PipelineStage {
   [[nodiscard]] double sample_noise_rms() const { return sigma_sample_; }
   [[nodiscard]] double scale() const { return scale_; }
   [[nodiscard]] const adc::analog::Opamp& opamp() const { return opamp_; }
-
-  // --- fast-path plan introspection (batch engine, src/batch) ---
-  // The invariants process_fast() consumes per sample, exposed so a
-  // BatchConverter can hoist them once per die-block. Values, not handles:
-  // everything here is fixed at construction/prepare_fast().
-  [[nodiscard]] double dac_gain() const { return gdac_; }
-  [[nodiscard]] double gain_realized() const { return gain_; }
-  [[nodiscard]] double droop_d0() const { return droop_d0_; }
-  [[nodiscard]] double droop_d1() const { return droop_d1_; }
-  [[nodiscard]] const adc::analog::Opamp::SettleCoeffs& fast_settle() const {
-    return fast_settle_;
-  }
-  [[nodiscard]] const adc::analog::Comparator& high_comparator() const { return cmp_high_; }
-  [[nodiscard]] const adc::analog::Comparator& low_comparator() const { return cmp_low_; }
 
   /// Force ADSC comparator offsets (failure injection in tests). Index 0 is
   /// the lower (-V_REF/4) comparator, 1 the upper (+V_REF/4).
@@ -162,6 +136,9 @@ class PipelineStage {
   }
 
  private:
+  /// Reads the realized stage into the fast kernel's plan.
+  friend class FastPlan;
+
   double scale_;
   adc::analog::Capacitor c1_;
   adc::analog::Capacitor c2_;

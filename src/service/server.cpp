@@ -598,7 +598,14 @@ void ScenarioService::maybe_finalize_locked(const std::shared_ptr<RunState>& run
     manifest.set_count("skipped", run->skipped);
     manifest.set_pool_telemetry(adc::runtime::global_pool().counters(),
                                 adc::runtime::global_pool().latency_histogram());
-    (void)manifest.write_to_env_dir();
+    // Telemetry is a side channel: a manifest that cannot be written (e.g. a
+    // missing directory) must not fail a request whose summary is already
+    // out, nor escape this pool worker and strand the unit's other
+    // subscribers and stop().
+    try {
+      (void)manifest.write_to_env_dir();
+    } catch (const std::exception&) {
+    }
   } else if (run->cancel_requested && !run->failed) {
     if (run->conn->open) {
       send_line(run->conn, encode_event(cancelled_event(run->id, run->delivered)));

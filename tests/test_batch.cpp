@@ -1,14 +1,17 @@
 /// \file test_batch.cpp
 /// Bit-identity contract of the batch conversion engine (src/batch).
 ///
-/// The batch engine is a throughput optimization, never a fidelity knob:
-/// for every die, every sample and every ISA tier, its codes must be
-/// byte-identical to PipelineAdc::convert() under the fast profile. These
-/// tests pin that contract across batch shapes (single die, ragged blocks,
-/// multi-block), capture sequences (the shared noise epoch), stimulus kinds,
-/// and instruction tiers (forced SSE2 vs the runtime-selected one), plus the
-/// golden fast codes of the characterized nominal die through the batch
-/// entry point.
+/// The fast profile has one kernel body (pipeline/fast_kernel_impl.hpp):
+/// PipelineAdc's fast path *is* its one-lane instantiation, and the batch
+/// engine compiles it at kLanes lanes once per ISA tier. The engine is a
+/// throughput optimization, never a fidelity knob: for every die, every
+/// sample and every tier, its codes must be byte-identical to
+/// PipelineAdc::convert() under the fast profile. These tests pin that
+/// contract across batch shapes (single die, ragged blocks, multi-block),
+/// capture sequences (the shared noise epoch), stimulus kinds, stage counts
+/// up to the correction bound, and instruction tiers (forced SSE2 vs the
+/// runtime-selected one), plus the golden fast codes of the characterized
+/// nominal die through the batch entry point.
 #include "batch/converter.hpp"
 
 #include <gtest/gtest.h>
@@ -151,6 +154,23 @@ TEST(Batch, IdealAndPartialNonidealitiesBitIdentical) {
     for (std::size_t d = 0; d < seeds.size(); ++d) {
       EXPECT_EQ(got[d], want[d]) << "die " << d;
     }
+  }
+}
+
+TEST(Batch, EighteenStageDieMatchesOneLaneKernel) {
+  // The stage ceiling is the correction bound (20 bits in total), not a
+  // batch-engine limit: an 18-stage die with a 2-bit flash converts through
+  // the batch engine with the same codes as PipelineAdc::convert.
+  AdcConfig cfg = fast_nominal();
+  cfg.num_stages = 18;
+  cfg.flash_bits = 2;
+  const auto seeds = make_seeds(3);
+  BatchConverter batch(cfg, seeds);
+  EXPECT_EQ(batch.resolution_bits(), 20);
+  const auto got = batch.convert(golden_tone(), 64);
+  const auto want = scalar_reference(cfg, seeds, golden_tone(), 64);
+  for (std::size_t d = 0; d < seeds.size(); ++d) {
+    EXPECT_EQ(got[d], want[d]) << "die " << d;
   }
 }
 

@@ -87,6 +87,14 @@ json::JsonValue reference_report(const adc::scenario::ScenarioSpec& spec,
   return ScenarioRunner(options).run(spec).report;
 }
 
+/// Owner id "w<k>" of worker k. Appended, not "w" + std::to_string(k):
+/// gcc 12 reports a false -Wrestrict on that operator+.
+std::string worker_owner(unsigned k) {
+  std::string owner("w");
+  owner += std::to_string(k);
+  return owner;
+}
+
 }  // namespace
 
 TEST_F(FleetTest, CrashResumeWithKilledWorkerStaysByteIdentical) {
@@ -219,7 +227,7 @@ TEST_F(FleetTest, MergedReportIsByteIdenticalForAnyWorkerCount) {
       options.cache_dir = path("cache-w" + tag);
       options.shards = workers;
       options.shard = k;
-      options.owner = "w" + std::to_string(k);
+      options.owner = worker_owner(k);
       const auto result = run_worker(spec, options);
       EXPECT_TRUE(result.manifest.complete);
     }
@@ -258,7 +266,7 @@ TEST_F(FleetTest, ConcurrentWorkersComputeEachJobExactlyOnce) {
       options.cache_dir = cache_dir;
       options.shards = 2;
       options.shard = k;
-      options.owner = "w" + std::to_string(k);
+      options.owner = worker_owner(k);
       options.lease_ms = 60000;  // no steals: strict exactly-once
       options.poll_ms = 10;
       results[k] = run_worker(spec, options);

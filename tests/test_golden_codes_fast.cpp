@@ -17,10 +17,16 @@
 /// on what earlier captures converted (see CaptureDrawsDependOnEpochIndex).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <numbers>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/fidelity.hpp"
+#include "digital/codes.hpp"
 #include "dsp/signal.hpp"
 #include "pipeline/adc.hpp"
 #include "pipeline/design.hpp"
@@ -29,6 +35,8 @@
 namespace {
 
 using adc::common::FidelityProfile;
+using adc::digital::RawConversion;
+using adc::digital::StageCode;
 using adc::pipeline::AdcConfig;
 using adc::pipeline::PipelineAdc;
 
@@ -149,6 +157,109 @@ TEST(GoldenCodesFast, ThreadCountInvariant) {
   EXPECT_EQ(std::vector<int>(kFastConvert64.begin(),
                              kFastConvert64.begin() + kSamples),
             serial[0]);
+}
+
+// Pins for the fast-profile entry points beyond convert/stream/dc: raw
+// stage and flash codes, sampled-voltage input, forced stage codes, a
+// failure-injected die and a stimulus without a tone fast path. Generated
+// from the fast kernel before the scalar fast path became the one-lane
+// instantiation of the conversion kernel; each test uses a fresh die, so
+// every capture is epoch 1 unless the test says otherwise.
+
+/// One raw conversion as text: a sign per stage ('+', '0', '-'), then '|'
+/// and the flash code.
+std::string raw_text(const RawConversion& raw) {
+  std::string text;
+  for (const StageCode code : raw.stage_codes) {
+    const int v = adc::digital::value(code);
+    text += v > 0 ? '+' : (v < 0 ? '-' : '0');
+  }
+  text += '|';
+  text += std::to_string(static_cast<int>(raw.flash_code));
+  return text;
+}
+
+/// FNV-1a over the codes (pins a long record without listing it).
+std::uint64_t code_digest(const std::vector<int>& codes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const int code : codes) {
+    hash ^= static_cast<std::uint32_t>(code);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(GoldenCodesFast, ConvertRawStageAndFlashCodes) {
+  const std::vector<std::string> kFastRaw12 = {
+      "000000-+00|1", "+00+-0+-0+|1", "++++-000-+|1", "++++++0+-0|2",
+      "++0000+-+0|1", "+-0+-00+-+|1", "-+00-00+0-|2", "--00000-+0|1",
+      "------0-+0|1", "---0-000-+|1", "-00-+-+-+0|2", "00000000-0|2"};
+  PipelineAdc converter(fast_nominal());
+  std::vector<std::string> got;
+  for (const RawConversion& raw : converter.convert_raw(golden_tone(), 12)) {
+    got.push_back(raw_text(raw));
+  }
+  EXPECT_EQ(got, kFastRaw12);
+}
+
+TEST(GoldenCodesFast, ConvertSamplesOnTheFingerprintSine) {
+  // The stimulus of the fast leg of the scenario cache fingerprint
+  // (src/scenario/hash.cpp): 37 cycles over 1024 samples at 0.99 FS.
+  const std::vector<int> kHead16 = {2047, 2511, 2948, 3340, 3666, 3908, 4055, 4095,
+                                    4037, 3875, 3619, 3280, 2880, 2437, 1972, 1513};
+  constexpr std::uint64_t kDigest = 0x1c422eb89100ab97ULL;
+  PipelineAdc converter(fast_nominal());
+  constexpr std::size_t kSamples = 1024;
+  const double amplitude = 0.99 * converter.full_scale_vpp() / 2.0;
+  std::vector<double> voltages(kSamples);
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    voltages[i] = amplitude * std::sin(2.0 * std::numbers::pi * 37.0 *
+                                       static_cast<double>(i) / static_cast<double>(kSamples));
+  }
+  const auto codes = converter.convert_samples(voltages);
+  ASSERT_EQ(codes.size(), kSamples);
+  EXPECT_EQ(std::vector<int>(codes.begin(), codes.begin() + 16), kHead16);
+  EXPECT_EQ(code_digest(codes), kDigest);
+}
+
+TEST(GoldenCodesFast, ConvertDcRawWithStageZeroForced) {
+  // Five forced conversions, then one with the force released; the
+  // reference droop carries from call to call.
+  const std::vector<std::string> kForced = {"+---------|0", "+--0-0+00-|2", "+-0+0-+0-+|1",
+                                            "+00+00-+-0|2", "++0+000-+-|2", "+-+0-+-+-0|2"};
+  PipelineAdc converter(fast_nominal());
+  converter.force_stage_code(0, StageCode::kPlus);
+  std::vector<std::string> got;
+  for (const double v : {-0.2, 0.1, 0.3, 0.55, 0.8}) {
+    got.push_back(raw_text(converter.convert_dc_raw(v)));
+  }
+  converter.force_stage_code(0, std::nullopt);
+  got.push_back(raw_text(converter.convert_dc_raw(0.35)));
+  EXPECT_EQ(got, kForced);
+}
+
+TEST(GoldenCodesFast, ConvertAfterComparatorOffsetInjection) {
+  const std::vector<int> kOffset32 = {2039, 3145, 3901, 4068, 3595, 2631, 1478, 507,
+                                      27,   189,  940,  2044, 3148, 3904, 4068, 3593,
+                                      2626, 1474, 503,  27,   190,  943,  2048, 3152,
+                                      3905, 4068, 3589, 2621, 1469, 501,  27,   193};
+  PipelineAdc converter(fast_nominal());
+  converter.stage_mutable(0).inject_comparator_offset(1, 0.2);
+  EXPECT_EQ(converter.convert(golden_tone(), 32), kOffset32);
+}
+
+TEST(GoldenCodesFast, RampCapture) {
+  // A stimulus without a tone fast path: Signal::sample_fast's default
+  // (exact value and slope).
+  const std::vector<int> kRamp64 = {
+      17,   80,   143,  206,  269,  334,  396,  459,  522,  586,  650,  713,  777,
+      841,  904,  967,  1031, 1094, 1157, 1221, 1285, 1349, 1412, 1476, 1537, 1602,
+      1665, 1728, 1793, 1856, 1920, 1984, 2047, 2111, 2174, 2237, 2302, 2365, 2430,
+      2493, 2556, 2618, 2681, 2744, 2808, 2872, 2936, 3000, 3063, 3127, 3190, 3253,
+      3317, 3381, 3445, 3508, 3571, 3634, 3698, 3761, 3825, 3888, 3951, 4014};
+  PipelineAdc converter(fast_nominal());
+  const adc::dsp::RampSignal ramp(-0.98, 0.98, 64.0 / converter.conversion_rate());
+  EXPECT_EQ(converter.convert(ramp, 64), kRamp64);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 /// units (one pool job per same-point fast die-block), single-flight dedup
 /// across concurrent tenants, cancellation via message and via disconnect
 /// (with bit-identical resume from the surviving cache entries), admission
-/// control, and error paths (including over-long request lines).
+/// control, and error paths (including over-long request lines and an
+/// unwritable telemetry directory).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -12,9 +13,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -454,6 +458,42 @@ TEST_F(ServiceTest, ConcurrentDuplicateRequestsComputeEachCellOnce) {
   EXPECT_EQ(adc::runtime::global_pool().counters().submitted, before + 4);
   EXPECT_EQ(reports[0], reports[1]);
   EXPECT_FALSE(reports[0].empty());
+}
+
+TEST_F(ServiceTest, UnwritableManifestDirectoryDoesNotStrandSubscribers) {
+  // Telemetry failures are non-fatal: with ADC_RUNTIME_MANIFEST_DIR naming a
+  // missing directory, every per-request manifest write throws on the pool
+  // worker that completes the unit. Both tenants of the shared unit must
+  // still get their summaries, and stop() must not wait on a stranded job.
+  ASSERT_EQ(::setenv("ADC_RUNTIME_MANIFEST_DIR", path("missing/dir").c_str(), 1), 0);
+  auto& service = start_service();
+  std::vector<std::string> reports(2);
+  std::vector<std::thread> tenants;
+  for (int t = 0; t < 2; ++t) {
+    tenants.emplace_back([&, t] {
+      TestClient client(service.socket_path());
+      client.send(run_request(kFastSpec, "fast"));
+      const auto summary = client.await("summary");
+      if (summary.is_null() || event_type(summary) != "summary") return;
+      reports[t] = json::dump(*summary.find("report"));
+    });
+  }
+  for (auto& tenant : tenants) tenant.join();
+
+  auto stopped = std::make_shared<std::promise<void>>();
+  auto done = stopped->get_future();
+  std::thread([&service, stopped] {
+    service.stop();
+    stopped->set_value();
+  }).detach();
+  const bool clean = done.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  ::unsetenv("ADC_RUNTIME_MANIFEST_DIR");
+  if (!clean) {
+    (void)service_.release();  // still stopping: leak it rather than hang TearDown
+    FAIL() << "stop() did not return";
+  }
+  EXPECT_FALSE(reports[0].empty());
+  EXPECT_EQ(reports[0], reports[1]);
 }
 
 TEST_F(ServiceTest, CancelMessageStopsSchedulingAndResumesBitIdentically) {
