@@ -7,7 +7,8 @@
 /// at L = kLanes, compiled three times — baseline SSE2, AVX2, AVX-512 — and
 /// driven through the same POD views (pipeline/fast_kernel.hpp) as the
 /// one-lane instantiation PipelineAdc runs. BatchConverter (converter.hpp)
-/// owns the arrays and builds the views.
+/// owns the arrays, builds the views and decides which die-blocks are worth
+/// running this wide; callers hand it any group of dies.
 ///
 /// Bit-identity contract: for any die, the codes produced through this
 /// interface are byte-identical to `PipelineAdc::convert()` under the fast
@@ -29,14 +30,6 @@ namespace adc::batch {
 /// Ragged blocks are padded by replicating a real die; pad results are
 /// discarded (lanes are independent, so padding cannot perturb real lanes).
 inline constexpr std::size_t kLanes = 8;
-
-/// Minimum dies in a group before routing it through the batch engine pays.
-/// A ragged block still runs a full kLanes-wide kernel pass (pad lanes do
-/// real work whose codes are discarded), so a group of g dies costs about
-/// one 8-lane capture — ~2-3x a *single* scalar die. Measured on the dev
-/// box the crossover sits between 3 and 4 dies; callers below this fall
-/// back to per-die scalar conversion.
-inline constexpr std::size_t kMinBatchDies = 4;
 
 using adc::pipeline::fast::PlanView;
 using adc::pipeline::fast::StateView;

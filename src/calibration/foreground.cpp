@@ -114,12 +114,8 @@ CalibratedReconstructor::CalibratedReconstructor(CalibrationTable table)
 double CalibratedReconstructor::reconstruct(const RawConversion& raw) const {
   require(raw.stage_codes.size() == static_cast<std::size_t>(table_.num_stages),
           "reconstruct: stage-code count mismatch");
-  double acc = table_.offset + static_cast<double>(raw.flash_code);
-  for (std::size_t i = 0; i < raw.stage_codes.size(); ++i) {
-    acc += static_cast<double>(adc::digital::value(raw.stage_codes[i])) *
-           table_.stage_weights[i];
-  }
-  return acc;
+  return adc::digital::weighted_sum(raw, table_.offset,
+                                    [this](std::size_t i) { return table_.stage_weights[i]; });
 }
 
 int CalibratedReconstructor::code(const RawConversion& raw) const {

@@ -20,11 +20,8 @@ int ErrorCorrection::correct(const RawConversion& raw) const {
   // Reconstruction Vin = sum d_i Vref/2^i + (f - (2^F-1)/2) * Vref/2^(i_max)
   // mapped to [0, 2^bits-1] with 0.5 LSB centering; stage 1 (i=0) carries
   // 2^(bits-2).
-  long long acc = offset();
-  for (std::size_t i = 0; i < raw.stage_codes.size(); ++i) {
-    acc += static_cast<long long>(value(raw.stage_codes[i])) * stage_weight(i);
-  }
-  acc += raw.flash_code;
+  long long acc =
+      weighted_sum(raw, offset(), [this](std::size_t i) { return stage_weight(i); });
 
   // The hardware adder saturates on out-of-range decision paths (possible
   // only when an ADSC error exceeds the redundancy).

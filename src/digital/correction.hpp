@@ -21,6 +21,24 @@
 
 namespace adc::digital {
 
+/// The recombination every out-of-kernel reconstruction of the output word
+/// evaluates: D = offset + flash + sum_i d_i * weight(i), stages MSB first.
+/// `Weight` is long long for the nominal shift-and-add (ErrorCorrection)
+/// and double for measured weights (calibration::CalibratedReconstructor);
+/// the association is fixed — offset + flash first, then the stages from
+/// the MSB down — so a calibrated value is reproducible bit for bit.
+/// Clamping and rounding stay with the caller. (The fast kernel keeps its
+/// own lane-wise copy: fast_kernel_impl.hpp is a POD header with the lanes
+/// innermost.)
+template <typename Weight, typename WeightOf>
+[[nodiscard]] Weight weighted_sum(const RawConversion& raw, Weight offset, WeightOf weight) {
+  Weight acc = offset + static_cast<Weight>(raw.flash_code);
+  for (std::size_t i = 0; i < raw.stage_codes.size(); ++i) {
+    acc += static_cast<Weight>(value(raw.stage_codes[i])) * weight(i);
+  }
+  return acc;
+}
+
 /// Combines raw stage codes into final output words.
 class ErrorCorrection {
  public:

@@ -434,8 +434,10 @@ void capture(const fk::PlanView& p, const fk::StateView& st, std::uint64_t epoch
       }
 
       // --- redundancy correction (ErrorCorrection::correct) ---
-      // Stage-major accumulation with the lanes innermost; the saturation
-      // clamps as integer selects. Exact-integer arithmetic either way.
+      // The lane-wise form of digital::weighted_sum, kept here because this
+      // header stays POD with the lanes innermost: stage-major accumulation,
+      // the saturation clamps as integer selects. Exact-integer arithmetic,
+      // so the order of the sum cannot change a code.
       if (st.out != nullptr) {
         long long acc[L];
         for (std::size_t l = 0; l < L; ++l) acc[l] = p.corr_offset;

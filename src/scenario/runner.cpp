@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "batch/converter.hpp"
+#include "batch/batch_api.hpp"
 #include "common/error.hpp"
 #include "pipeline/design.hpp"
 #include "power/power_model.hpp"
@@ -27,8 +27,8 @@ namespace json = adc::common::json;
 namespace {
 
 /// Options of the single-tone bench for a resolved job — shared by the
-/// per-job path and the batched die-block path so both measure the exact
-/// same tone.
+/// per-job path (execute_job) and the die-group path (compute_unit) so both
+/// measure the exact same tone.
 adc::testbench::DynamicTestOptions dynamic_options(const ResolvedJob& job) {
   adc::testbench::DynamicTestOptions options;
   options.record_length = job.stimulus.record_length;
@@ -40,8 +40,9 @@ adc::testbench::DynamicTestOptions dynamic_options(const ResolvedJob& job) {
   return options;
 }
 
-/// Payload of a dynamic measurement. One builder for the scalar and batched
-/// paths: identical key order, identical doubles, identical cache bytes.
+/// Payload of a dynamic measurement. One builder for the per-job and
+/// die-group paths: identical key order, identical doubles, identical cache
+/// bytes.
 json::JsonValue dynamic_payload(const adc::testbench::DynamicTestResult& result) {
   auto payload = json::JsonValue::object();
   payload.set("tone_hz", result.tone.frequency_hz);
@@ -148,15 +149,13 @@ bool same_grid_point(const JobPoint& a, const JobPoint& b) {
   return true;
 }
 
-/// True when the spec's measurement shape is one the batch engine can take:
-/// single-tone dynamic (or yield-over-dynamic) capture under the fast
-/// fidelity profile. Per-unit feasibility (stage count etc.) is still
-/// checked against the resolved configuration via supports_config.
-bool batchable_shape(const ScenarioSpec& spec) {
+/// True when the spec measures single-tone dynamic (or yield-over-dynamic)
+/// captures: its units are measured as die groups by
+/// run_dynamic_test_block.
+bool single_tone(const ScenarioSpec& spec) {
   const bool dynamic_measurement = spec.measurement.type == MeasurementSpec::Type::kDynamic ||
                                    spec.measurement.type == MeasurementSpec::Type::kYield;
-  return dynamic_measurement && spec.stimulus.type == StimulusSpec::Type::kTone &&
-         spec.die.fidelity == adc::common::FidelityProfile::kFast;
+  return dynamic_measurement && spec.stimulus.type == StimulusSpec::Type::kTone;
 }
 
 }  // namespace
@@ -297,7 +296,11 @@ ReportPaths write_report_files(const json::JsonValue& report, const std::string&
 std::vector<ExecuteUnit> form_units(const ScenarioSpec& spec, const ScenarioPlan& plan,
                                     const std::vector<std::size_t>& indices) {
   // Seeds are innermost in the expansion, so same-point jobs are adjacent.
-  const bool batchable = batchable_shape(spec);
+  // Only fast-profile dies share a unit: the batch engine converts them
+  // kLanes wide, while an exact die gains nothing from company and keeps a
+  // pool job of its own.
+  const bool batchable =
+      single_tone(spec) && spec.die.fidelity == adc::common::FidelityProfile::kFast;
   std::vector<ExecuteUnit> units;
   for (const std::size_t index : indices) {
     if (!batchable || units.empty() || units.back().size() >= adc::batch::kLanes ||
@@ -323,9 +326,9 @@ std::vector<std::optional<json::JsonValue>> compute_unit(const ScenarioSpec& spe
     if (!hooks.acquire || hooks.acquire(unit[t], plan.hashes[unit[t]])) mine.push_back(t);
   }
   if (mine.empty()) return out;
-  const ResolvedJob first = resolve_job(spec, plan.jobs[unit[mine.front()]]);
-  if (mine.size() >= adc::batch::kMinBatchDies && batchable_shape(spec) &&
-      adc::batch::BatchConverter::supports_config(first.config)) {
+  if (single_tone(spec)) {
+    // A unit's jobs share one grid point, so they differ only in seed.
+    const ResolvedJob first = resolve_job(spec, plan.jobs[unit[mine.front()]]);
     std::vector<std::uint64_t> seeds;
     for (const std::size_t t : mine) seeds.push_back(plan.jobs[unit[t]].seed);
     const auto results =

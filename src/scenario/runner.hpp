@@ -172,8 +172,10 @@ using ExecuteUnit = std::vector<std::size_t>;
 
 /// Compute a unit of form_units (or a subset of one) — the one compute path
 /// of the CLI, the fleet worker and the scenario service. The jobs
-/// `hooks.acquire` admits go through one batch-engine die-block when there
-/// are enough of them, else through ScenarioRunner::execute_job (the two are
+/// `hooks.acquire` admits are measured as one die group by
+/// adc::testbench::run_dynamic_test_block when the spec is single-tone
+/// dynamic (the group's converter picks the wide kernel or die by die),
+/// else one by one through ScenarioRunner::execute_job (the two are
 /// bit-identical); each payload is stored in `cache` (if set) before
 /// `hooks.stored`. Returns payloads aligned with `unit`; declined slots stay
 /// empty.
@@ -203,7 +205,8 @@ class ScenarioRunner {
   [[nodiscard]] RunResult run(const ScenarioSpec& spec);
 
   /// Execute one resolved job immediately (no cache); the payload that
-  /// would be stored. compute_unit's per-job path; exposed for tests.
+  /// would be stored. compute_unit's per-job path for every measurement
+  /// but single-tone dynamic; exposed for tests.
   [[nodiscard]] static adc::common::json::JsonValue execute_job(const ResolvedJob& job);
 
  private:

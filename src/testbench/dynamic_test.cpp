@@ -9,67 +9,20 @@
 
 namespace adc::testbench {
 
-DynamicTestResult run_dynamic_test(adc::pipeline::PipelineAdc& adc,
-                                   const DynamicTestOptions& options) {
-  adc::common::require(options.amplitude_fraction > 0.0 && options.amplitude_fraction <= 1.05,
-                       "run_dynamic_test: amplitude fraction outside (0, 1.05]");
-  const double fs = adc.conversion_rate();
-  const std::size_t n = options.record_length;
-
-  DynamicTestResult result;
-  result.tone = adc::dsp::coherent_frequency(options.target_fin_hz, fs, n);
-
-  adc::common::require(options.averages >= 1, "run_dynamic_test: averages must be >= 1");
-  const double amplitude = options.amplitude_fraction * adc.full_scale_vpp() / 2.0;
-  const adc::dsp::SineSignal tone(amplitude, result.tone.frequency_hz);
-
-  adc::dsp::SpectrumOptions spec = options.spectrum;
-  spec.fundamental_bin = result.tone.cycles;
-  if (options.averages == 1) {
-    const auto codes = adc.convert(tone, n);
-    const auto volts =
-        adc::dsp::codes_to_volts(codes, adc.resolution_bits(), adc.full_scale_vpp());
-    result.metrics = adc::dsp::analyze_tone(volts, fs, spec);
-  } else {
-    std::vector<std::vector<double>> records;
-    records.reserve(static_cast<std::size_t>(options.averages));
-    for (int r = 0; r < options.averages; ++r) {
-      const auto codes = adc.convert(tone, n);
-      records.push_back(
-          adc::dsp::codes_to_volts(codes, adc.resolution_bits(), adc.full_scale_vpp()));
-    }
-    result.metrics = adc::dsp::analyze_tone_averaged(records, fs, spec);
-  }
-  return result;
-}
-
 namespace {
 
-/// Scalar fallback: fabricate and measure the block's dies one at a time.
-std::vector<DynamicTestResult> run_block_scalar(const adc::pipeline::AdcConfig& base,
-                                                std::span<const std::uint64_t> seeds,
-                                                const DynamicTestOptions& options) {
-  std::vector<DynamicTestResult> out;
-  out.reserve(seeds.size());
-  for (const std::uint64_t seed : seeds) {
-    adc::pipeline::AdcConfig cfg = base;
-    cfg.seed = seed;
-    adc::pipeline::PipelineAdc die(cfg);
-    out.push_back(run_dynamic_test(die, options));
-  }
-  return out;
-}
-
-/// Batch path: one BatchConverter per block, every capture runs all dies
-/// through the SoA kernel. The tone setup mirrors run_dynamic_test line by
-/// line (same coherent snap, same amplitude, same spectrum options), and the
-/// capture sequence per die matches the scalar averages loop — each
-/// convert() advances every die's noise epoch exactly once, like repeated
-/// scalar convert() calls on a per-die converter would.
-std::vector<DynamicTestResult> run_block_batched(const adc::pipeline::AdcConfig& base,
-                                                 std::span<const std::uint64_t> seeds,
-                                                 const DynamicTestOptions& options) {
-  adc::batch::BatchConverter conv(base, seeds);
+/// The dynamic measurement of `dies` dies that share `conv`'s conversion
+/// rate, full scale and resolution: the one body behind run_dynamic_test
+/// and run_dynamic_test_block. `capture(tone, n)` converts one record on
+/// every die and returns one code vector per die; each call advances every
+/// die's noise epoch once, so a die measures the same records on any path.
+template <typename Converter, typename Capture>
+std::vector<DynamicTestResult> measure(const Converter& conv, std::size_t dies,
+                                       const DynamicTestOptions& options,
+                                       const Capture& capture) {
+  adc::common::require(options.amplitude_fraction > 0.0 && options.amplitude_fraction <= 1.05,
+                       "run_dynamic_test: amplitude fraction outside (0, 1.05]");
+  adc::common::require(options.averages >= 1, "run_dynamic_test: averages must be >= 1");
   const double fs = conv.conversion_rate();
   const std::size_t n = options.record_length;
   const adc::dsp::CoherentTone coherent =
@@ -79,27 +32,25 @@ std::vector<DynamicTestResult> run_block_batched(const adc::pipeline::AdcConfig&
 
   adc::dsp::SpectrumOptions spec = options.spectrum;
   spec.fundamental_bin = coherent.cycles;
+  const auto volts = [&conv](const std::vector<int>& codes) {
+    return adc::dsp::codes_to_volts(codes, conv.resolution_bits(), conv.full_scale_vpp());
+  };
 
-  std::vector<DynamicTestResult> out(seeds.size());
+  std::vector<DynamicTestResult> out(dies);
   for (auto& r : out) r.tone = coherent;
   if (options.averages == 1) {
-    const auto codes = conv.convert(tone, n);
-    for (std::size_t d = 0; d < seeds.size(); ++d) {
-      const auto volts =
-          adc::dsp::codes_to_volts(codes[d], conv.resolution_bits(), conv.full_scale_vpp());
-      out[d].metrics = adc::dsp::analyze_tone(volts, fs, spec);
+    const auto codes = capture(tone, n);
+    for (std::size_t d = 0; d < dies; ++d) {
+      out[d].metrics = adc::dsp::analyze_tone(volts(codes[d]), fs, spec);
     }
   } else {
-    std::vector<std::vector<std::vector<double>>> records(seeds.size());
+    std::vector<std::vector<std::vector<double>>> records(dies);
     for (auto& r : records) r.reserve(static_cast<std::size_t>(options.averages));
     for (int r = 0; r < options.averages; ++r) {
-      const auto codes = conv.convert(tone, n);
-      for (std::size_t d = 0; d < seeds.size(); ++d) {
-        records[d].push_back(
-            adc::dsp::codes_to_volts(codes[d], conv.resolution_bits(), conv.full_scale_vpp()));
-      }
+      const auto codes = capture(tone, n);
+      for (std::size_t d = 0; d < dies; ++d) records[d].push_back(volts(codes[d]));
     }
-    for (std::size_t d = 0; d < seeds.size(); ++d) {
+    for (std::size_t d = 0; d < dies; ++d) {
       out[d].metrics = adc::dsp::analyze_tone_averaged(records[d], fs, spec);
     }
   }
@@ -108,26 +59,24 @@ std::vector<DynamicTestResult> run_block_batched(const adc::pipeline::AdcConfig&
 
 }  // namespace
 
+DynamicTestResult run_dynamic_test(adc::pipeline::PipelineAdc& adc,
+                                   const DynamicTestOptions& options) {
+  auto results = measure(adc, 1, options, [&adc](const adc::dsp::Signal& tone, std::size_t n) {
+    std::vector<std::vector<int>> codes;
+    codes.push_back(adc.convert(tone, n));
+    return codes;
+  });
+  return std::move(results.front());
+}
+
 std::vector<DynamicTestResult> run_dynamic_test_block(const adc::pipeline::AdcConfig& base,
                                                       std::span<const std::uint64_t> seeds,
                                                       const DynamicTestOptions& options) {
-  adc::common::require(!seeds.empty(), "run_dynamic_test_block: need at least one seed");
-  adc::common::require(options.amplitude_fraction > 0.0 && options.amplitude_fraction <= 1.05,
-                       "run_dynamic_test: amplitude fraction outside (0, 1.05]");
-  adc::common::require(options.averages >= 1, "run_dynamic_test: averages must be >= 1");
-
-  const bool batchable = adc::batch::BatchConverter::supports_config(base);
-  std::vector<DynamicTestResult> out;
-  out.reserve(seeds.size());
-  for (std::size_t lo = 0; lo < seeds.size(); lo += adc::batch::kLanes) {
-    const std::size_t count = std::min(adc::batch::kLanes, seeds.size() - lo);
-    const auto chunk = seeds.subspan(lo, count);
-    const bool use_batch = batchable && count >= adc::batch::kMinBatchDies;
-    auto block =
-        use_batch ? run_block_batched(base, chunk, options) : run_block_scalar(base, chunk, options);
-    for (auto& r : block) out.push_back(std::move(r));
-  }
-  return out;
+  adc::batch::BatchConverter conv(base, seeds);
+  return measure(conv, seeds.size(), options,
+                 [&conv](const adc::dsp::Signal& tone, std::size_t n) {
+                   return conv.convert(tone, n);
+                 });
 }
 
 std::vector<DynamicTestResult> run_dynamic_test_dies(const adc::pipeline::AdcConfig& base,
@@ -144,9 +93,8 @@ std::vector<DynamicTestResult> run_dynamic_test_dies(const adc::pipeline::AdcCon
 
   // One job per kLanes-aligned die block. Blocks are independent, so the
   // runtime's determinism contract keeps the flattened result in seed order
-  // and bit-identical at any thread count. The trailing ragged block (and
-  // every block when the profile is not fast) takes the scalar fallback
-  // inside run_dynamic_test_block.
+  // and bit-identical at any thread count. Each block's converter picks its
+  // own path (wide kernel or die by die).
   const auto blocks = adc::runtime::parallel_map<std::vector<DynamicTestResult>>(
       num_blocks,
       [&base, &seeds, &options](std::size_t b) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/math_util.hpp"
@@ -23,18 +24,16 @@ double MonteCarloResult::yield_at_most(double limit) const {
   return static_cast<double>(pass) / static_cast<double>(values.size());
 }
 
-namespace {
-
-/// Shared distribution reduction: mean / sigma / extremes over the values.
-void summarize(MonteCarloResult& result) {
+MonteCarloResult summarize(std::vector<double> values) {
+  MonteCarloResult result;
+  result.values = std::move(values);
   result.mean = adc::common::mean(result.values);
   result.std_dev = adc::common::std_dev(result.values);
   const auto mm = adc::common::min_max(result.values);
   result.min = mm.min;
   result.max = mm.max;
+  return result;
 }
-
-}  // namespace
 
 MonteCarloResult run_monte_carlo(const adc::pipeline::AdcConfig& base, const DieMetric& metric,
                                  const MonteCarloOptions& options) {
@@ -48,8 +47,7 @@ MonteCarloResult run_monte_carlo(const adc::pipeline::AdcConfig& base, const Die
   adc::runtime::BatchOptions batch;
   batch.threads = options.threads > 0 ? static_cast<unsigned>(options.threads) : 0;
 
-  MonteCarloResult result;
-  result.values = adc::runtime::parallel_map<double>(
+  return summarize(adc::runtime::parallel_map<double>(
       static_cast<std::size_t>(options.num_dies),
       [&base, &metric, &options](std::size_t die) {
         adc::pipeline::AdcConfig cfg = base;
@@ -57,10 +55,7 @@ MonteCarloResult run_monte_carlo(const adc::pipeline::AdcConfig& base, const Die
         adc::pipeline::PipelineAdc converter(cfg);
         return metric(converter);
       },
-      batch);
-
-  summarize(result);
-  return result;
+      batch));
 }
 
 MonteCarloResult run_monte_carlo_dynamic(const adc::pipeline::AdcConfig& base,
@@ -71,21 +66,17 @@ MonteCarloResult run_monte_carlo_dynamic(const adc::pipeline::AdcConfig& base,
   adc::common::require(static_cast<bool>(metric), "run_monte_carlo_dynamic: empty metric");
 
   // The per-die work (capture + FFT) lives in run_dynamic_test_dies, which
-  // blocks the dies by adc::batch::kLanes and hoists die fabrication, plan
-  // extraction and the noise-plane workspace out of the per-die loop — one
-  // BatchConverter per block instead of one PipelineAdc (plus its plane
-  // buffers) per die.
+  // blocks the dies by adc::batch::kLanes, one BatchConverter per block.
   std::vector<std::uint64_t> seeds(static_cast<std::size_t>(options.num_dies));
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     seeds[i] = options.first_seed + static_cast<std::uint64_t>(i);
   }
   const auto die_results = run_dynamic_test_dies(base, seeds, test, options.threads);
 
-  MonteCarloResult result;
-  result.values.reserve(die_results.size());
-  for (const auto& r : die_results) result.values.push_back(metric(r));
-  summarize(result);
-  return result;
+  std::vector<double> values;
+  values.reserve(die_results.size());
+  for (const auto& r : die_results) values.push_back(metric(r));
+  return summarize(std::move(values));
 }
 
 }  // namespace adc::testbench

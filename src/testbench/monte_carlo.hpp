@@ -43,6 +43,12 @@ struct MonteCarloResult {
   [[nodiscard]] double yield_at_most(double limit) const;
 };
 
+/// The distribution summary of per-die `values` (in seed order, at least
+/// one; throws adc::common::ConfigError on none): mean, sigma and extremes.
+/// The reduction both run_monte_carlo* functions end with, for callers that
+/// measure the dies themselves.
+[[nodiscard]] MonteCarloResult summarize(std::vector<double> values);
+
 /// Metric evaluated on one fabricated die.
 using DieMetric = std::function<double(adc::pipeline::PipelineAdc&)>;
 

@@ -7,11 +7,12 @@
 /// throughput optimization, never a fidelity knob: for every die, every
 /// sample and every tier, its codes must be byte-identical to
 /// PipelineAdc::convert() under the fast profile. These tests pin that
-/// contract across batch shapes (single die, ragged blocks, multi-block),
-/// capture sequences (the shared noise epoch), stimulus kinds, stage counts
-/// up to the correction bound, and instruction tiers (forced SSE2 vs the
-/// runtime-selected one), plus the golden fast codes of the characterized
-/// nominal die through the batch entry point.
+/// contract across group shapes (single die, the per-die branch below
+/// four dies, ragged and full wide blocks, a wide block plus a per-die
+/// tail, exact-profile groups), capture sequences (the shared noise epoch),
+/// stimulus kinds, stage counts up to the correction bound, and instruction
+/// tiers (forced SSE2 vs the runtime-selected one), plus the golden fast
+/// codes of the characterized nominal die through the batch entry point.
 #include "batch/converter.hpp"
 
 #include <gtest/gtest.h>
@@ -79,57 +80,56 @@ TEST(Batch, GoldenFastCodesThroughBatchEntryPoint) {
   // The first 64 fast-profile codes of the characterized nominal die — the
   // same pinned vector as test_golden_codes_fast.cpp. The batch engine must
   // reproduce the golden contract, not merely agree with today's scalar
-  // binary.
+  // binary — so the die runs in a wide (padded) block of four.
   const std::vector<int> kFastConvert64 = {
       2039, 3145, 3901, 4068, 3595, 2629, 1478, 507,  27,   189,  940,  2044, 3148,
       3904, 4068, 3593, 2624, 1474, 503,  27,   190,  943,  2048, 3152, 3905, 4068,
       3589, 2619, 1469, 501,  27,   193,  947,  2054, 3157, 3907, 4067, 3586, 2616,
       1465, 498,  25,   194,  951,  2058, 3160, 3909, 4066, 3583, 2611, 1460, 495,
       25,   196,  955,  2063, 3164, 3911, 4065, 3580, 2607, 1456, 492,  24};
-  const std::vector<std::uint64_t> seeds = {adc::pipeline::kNominalSeed};
+  const auto seeds = make_seeds(4);
   BatchConverter batch(fast_nominal(), seeds);
   const auto codes = batch.convert(golden_tone(), 64);
-  ASSERT_EQ(codes.size(), 1u);
+  ASSERT_EQ(codes.size(), 4u);
   EXPECT_EQ(codes[0], kFastConvert64);
 }
 
 TEST(Batch, BitIdenticalAcrossShapes) {
-  // S x D shapes covering: single sample/die, ragged sub-block, multi-block
-  // with a full and a ragged block, and a chunk-boundary-crossing capture.
+  // S x D group shapes covering both of the converter's paths: fast groups
+  // of 1-3 dies (die by die through the one-lane kernel), a ragged wide
+  // block (5: padded), a full block plus a per-die tail (10), two full
+  // blocks (16), a chunk-boundary-crossing capture, and an exact-profile
+  // group large enough for a wide block (it must still go die by die). Two
+  // captures each: the second pins the noise epoch on every path.
   const struct {
     std::size_t samples;
     std::size_t dies;
-  } shapes[] = {{1, 1}, {7, 3}, {64, 16}, {300, 5}};
+    FidelityProfile fidelity;
+  } shapes[] = {{1, 1, FidelityProfile::kFast},   {7, 2, FidelityProfile::kFast},
+                {7, 3, FidelityProfile::kFast},   {64, 16, FidelityProfile::kFast},
+                {300, 5, FidelityProfile::kFast}, {40, 10, FidelityProfile::kFast},
+                {40, 5, FidelityProfile::kExact}};
   for (const auto& shape : shapes) {
-    SCOPED_TRACE(testing::Message() << shape.samples << "x" << shape.dies);
+    SCOPED_TRACE(testing::Message() << shape.samples << "x" << shape.dies << " "
+                                    << adc::common::to_string(shape.fidelity));
+    AdcConfig cfg = adc::pipeline::nominal_design();
+    cfg.fidelity = shape.fidelity;
     const auto seeds = make_seeds(shape.dies);
-    BatchConverter batch(fast_nominal(), seeds);
-    const auto got = batch.convert(golden_tone(), shape.samples);
-    const auto want = scalar_reference(fast_nominal(), seeds, golden_tone(), shape.samples);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t d = 0; d < got.size(); ++d) {
-      SCOPED_TRACE(testing::Message() << "die " << d);
-      EXPECT_EQ(got[d], want[d]);
+    BatchConverter batch(cfg, seeds);
+    for (int capture = 1; capture <= 2; ++capture) {
+      const auto got = batch.convert(golden_tone(), shape.samples);
+      const auto want = scalar_reference(cfg, seeds, golden_tone(), shape.samples, capture);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t d = 0; d < got.size(); ++d) {
+        EXPECT_EQ(got[d], want[d]) << "capture " << capture << ", die " << d;
+      }
     }
-  }
-}
-
-TEST(Batch, RepeatedCapturesAdvanceTheSharedEpoch) {
-  // Capture #2 of a converter must match capture #2 of each scalar die —
-  // the noise epoch advances identically on both paths.
-  const auto seeds = make_seeds(3);
-  BatchConverter batch(fast_nominal(), seeds);
-  (void)batch.convert(golden_tone(), 32);
-  const auto second = batch.convert(golden_tone(), 32);
-  const auto want = scalar_reference(fast_nominal(), seeds, golden_tone(), 32, /*captures=*/2);
-  for (std::size_t d = 0; d < seeds.size(); ++d) {
-    EXPECT_EQ(second[d], want[d]) << "die " << d;
   }
 }
 
 TEST(Batch, MultiToneStimulusBitIdentical) {
   const adc::dsp::MultiToneSignal tone({{0.49, 9.7e6, 0.0}, {0.49, 12.3e6, 1.25}});
-  const auto seeds = make_seeds(2);
+  const auto seeds = make_seeds(4);  // one wide block
   BatchConverter batch(fast_nominal(), seeds);
   const auto got = batch.convert(tone, 100);
   const auto want = scalar_reference(fast_nominal(), seeds, tone, 100);
@@ -147,7 +147,7 @@ TEST(Batch, IdealAndPartialNonidealitiesBitIdentical) {
   mixed.enable.thermal_noise = false;
   mixed.enable.aperture_jitter = false;
   for (const AdcConfig& cfg : {ideal, mixed}) {
-    const auto seeds = make_seeds(2);
+    const auto seeds = make_seeds(4);  // one wide block
     BatchConverter batch(cfg, seeds);
     const auto got = batch.convert(golden_tone(), 50);
     const auto want = scalar_reference(cfg, seeds, golden_tone(), 50);
@@ -160,11 +160,11 @@ TEST(Batch, IdealAndPartialNonidealitiesBitIdentical) {
 TEST(Batch, EighteenStageDieMatchesOneLaneKernel) {
   // The stage ceiling is the correction bound (20 bits in total), not a
   // batch-engine limit: an 18-stage die with a 2-bit flash converts through
-  // the batch engine with the same codes as PipelineAdc::convert.
+  // the wide kernel with the same codes as PipelineAdc::convert.
   AdcConfig cfg = fast_nominal();
   cfg.num_stages = 18;
   cfg.flash_bits = 2;
-  const auto seeds = make_seeds(3);
+  const auto seeds = make_seeds(4);  // one wide block
   BatchConverter batch(cfg, seeds);
   EXPECT_EQ(batch.resolution_bits(), 20);
   const auto got = batch.convert(golden_tone(), 64);
@@ -179,7 +179,7 @@ TEST(Batch, ForcedSse2MatchesRuntimeTier) {
   // detection picked produce byte-identical codes. On an AVX-512 machine
   // this pins sse2 == avx512; on an SSE2-only machine it degenerates to
   // self-comparison (still a valid run, just not a cross check).
-  const auto seeds = make_seeds(9);  // one full block + a 1-die ragged block
+  const auto seeds = make_seeds(12);  // one full block + a padded 4-die block
   BatchConverter forced(fast_nominal(), seeds, BatchIsa::kSse2);
   BatchConverter native(fast_nominal(), seeds);
   const auto a = forced.convert(golden_tone(), 100);
@@ -218,17 +218,18 @@ TEST(Batch, SoAMathPortsBitIdenticalAcrossTiers) {
 }
 
 TEST(Batch, SupportGatesAndErrors) {
-  EXPECT_TRUE(BatchConverter::supports(fast_nominal(), golden_tone()));
-  EXPECT_FALSE(BatchConverter::supports_config(adc::pipeline::nominal_design()));  // exact
   const adc::dsp::RampSignal ramp(-1.0, 1.0, 1e-6);
+  EXPECT_TRUE(BatchConverter::supports_signal(golden_tone()));
   EXPECT_FALSE(BatchConverter::supports_signal(ramp));
 
-  EXPECT_THROW(BatchConverter(adc::pipeline::nominal_design(), make_seeds(1)),
-               adc::common::ConfigError);
   EXPECT_THROW(BatchConverter(fast_nominal(), std::span<const std::uint64_t>{}),
                adc::common::ConfigError);
-  BatchConverter batch(fast_nominal(), make_seeds(1));
-  EXPECT_THROW((void)batch.convert(ramp, 8), adc::common::ConfigError);
+  // Any fidelity profile makes a converter; the stimulus gate holds on both
+  // paths (the one-lane fast die and the exact die).
+  for (const AdcConfig& cfg : {fast_nominal(), adc::pipeline::nominal_design()}) {
+    BatchConverter batch(cfg, make_seeds(1));
+    EXPECT_THROW((void)batch.convert(ramp, 8), adc::common::ConfigError);
+  }
 }
 
 TEST(Batch, IsaResolutionPolicy) {
@@ -243,10 +244,10 @@ TEST(Batch, IsaResolutionPolicy) {
 }
 
 TEST(Batch, ZeroSampleCaptureStillAdvancesEpoch) {
-  const auto seeds = make_seeds(1);
+  const auto seeds = make_seeds(4);  // one wide block
   BatchConverter batch(fast_nominal(), seeds);
   const auto empty = batch.convert(golden_tone(), 0);
-  ASSERT_EQ(empty.size(), 1u);
+  ASSERT_EQ(empty.size(), 4u);
   EXPECT_TRUE(empty[0].empty());
   // Scalar: convert(0) also opens (and burns) an epoch.
   AdcConfig cfg = fast_nominal();

@@ -2,7 +2,9 @@
 /// measures realized stage weights and reconstructs with them.
 #include "calibration/foreground.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -148,6 +150,29 @@ TEST(CalibratedReconstructor, MatchesBuiltInCorrectionWithNominalTable) {
     const auto raw = adc.convert_dc_raw(v);
     EXPECT_EQ(recon.code(raw), adc.convert_dc(v)) << v;
   }
+}
+
+TEST(CalibratedReconstructor, NonDyadicWeightsBitPinned) {
+  // A measured table's weights are not powers of two, so the order of the
+  // floating-point sum is part of the output: offset + flash first, then the
+  // stages MSB first. The value is pinned bit for bit.
+  ac::CalibrationTable table;
+  table.num_stages = 10;
+  table.flash_bits = 2;
+  table.stage_weights = {1023.37, 511.911, 256.2031, 127.94, 64.0173,
+                         31.99, 16.0041, 7.9987, 4.0003, 1.99991};
+  table.offset = 2046.6137;
+  const ac::CalibratedReconstructor recon(table);
+  using adc::digital::StageCode;
+  adc::digital::RawConversion raw;
+  for (const StageCode c : {StageCode::kPlus, StageCode::kMinus, StageCode::kZero,
+                            StageCode::kPlus, StageCode::kPlus, StageCode::kMinus,
+                            StageCode::kZero, StageCode::kMinus, StageCode::kPlus,
+                            StageCode::kMinus}) {
+    raw.stage_codes.push_back(c);
+  }
+  raw.flash_code = 2;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(recon.reconstruct(raw)), 0x40a5341558644524u);
 }
 
 TEST(CalibratedReconstructor, ClampsOutOfRange) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/fidelity.hpp"
 #include "pipeline/design.hpp"
@@ -102,9 +105,10 @@ TEST(MonteCarlo, RejectsBadInput) {
 }
 
 TEST(MonteCarlo, DynamicRunnerMatchesScalarMetricBitExact) {
-  // 10 dies under the fast profile = one full batched block of 8 plus a
-  // 2-die scalar-fallback tail, so one comparison covers both execution
-  // paths of run_dynamic_test_dies against the reference per-die loop.
+  // 10 dies under the fast profile = one full wide block of 8 plus a 2-die
+  // tail the converter runs die by die, so one comparison covers both
+  // execution paths of run_dynamic_test_dies against the reference per-die
+  // loop.
   ap::AdcConfig fast = ap::nominal_design();
   fast.fidelity = adc::common::FidelityProfile::kFast;
   tb::DynamicTestOptions test;
@@ -143,6 +147,29 @@ TEST(MonteCarlo, DynamicRunnerMatchesScalarWithAveraging) {
   EXPECT_EQ(batched.values, scalar.values);
 }
 
+TEST(MonteCarlo, ExactGroupWithAveragingMatchesPerDieBench) {
+  // An exact-profile die group goes through the same group path as a fast
+  // one (one capture per record for all dies, every die converting itself);
+  // each die's averaged metrics must equal the single-die bench's.
+  tb::DynamicTestOptions test;
+  test.record_length = 1 << 10;
+  test.averages = 3;
+  const std::vector<std::uint64_t> seeds = {31, 32, 33};
+  const auto group = tb::run_dynamic_test_block(ap::nominal_design(), seeds, test);
+  ASSERT_EQ(group.size(), seeds.size());
+  for (std::size_t d = 0; d < seeds.size(); ++d) {
+    ap::AdcConfig cfg = ap::nominal_design();
+    cfg.seed = seeds[d];
+    ap::PipelineAdc die(cfg);
+    const auto want = tb::run_dynamic_test(die, test);
+    EXPECT_EQ(group[d].tone.frequency_hz, want.tone.frequency_hz) << "die " << d;
+    EXPECT_EQ(group[d].metrics.snr_db, want.metrics.snr_db) << "die " << d;
+    EXPECT_EQ(group[d].metrics.sndr_db, want.metrics.sndr_db) << "die " << d;
+    EXPECT_EQ(group[d].metrics.sfdr_db, want.metrics.sfdr_db) << "die " << d;
+    EXPECT_EQ(group[d].metrics.thd_db, want.metrics.thd_db) << "die " << d;
+  }
+}
+
 TEST(MonteCarlo, BatchedYieldIsThreadCountInvariant) {
   ap::AdcConfig fast = ap::nominal_design();
   fast.fidelity = adc::common::FidelityProfile::kFast;
@@ -150,7 +177,7 @@ TEST(MonteCarlo, BatchedYieldIsThreadCountInvariant) {
   test.record_length = 1 << 11;
   const auto metric = [](const tb::DynamicTestResult& r) { return r.metrics.sndr_db; };
   tb::MonteCarloOptions serial;
-  serial.num_dies = 20;  // two batched blocks + a ragged scalar tail
+  serial.num_dies = 20;  // two full wide blocks + a padded 4-die block
   serial.first_seed = 42;
   serial.threads = 1;
   tb::MonteCarloOptions parallel = serial;
