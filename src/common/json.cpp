@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -74,16 +75,57 @@ void append_quoted(std::string& out, const std::string& s) {
   out += '"';
 }
 
+/// Room for any number token the writer produces: a 64-bit integer, or a
+/// double of at most 17 significant digits with its sign, point, leading
+/// zeros or exponent, and the ".0" suffix.
+constexpr std::size_t kNumberChars = 32;
+
+/// std::from_chars over the whole of [first, last) (nullopt when it stops
+/// short), with strtod behind it whenever from_chars reports an error:
+/// libstdc++ rejects an underflow such as "1e-400" that strtod reads as 0.0.
+std::optional<double> read_double(const char* first, const char* last) {
+  double value = 0.0;
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (ec == std::errc()) return end == last ? std::optional(value) : std::nullopt;
+  const std::string buf(first, last);
+  char* strtod_end = nullptr;
+  value = std::strtod(buf.c_str(), &strtod_end);
+  return strtod_end == buf.c_str() + buf.size() ? std::optional(value) : std::nullopt;
+}
+
+/// format_double into `buf`; returns the length.
+std::size_t write_double(double value, char (&buf)[kNumberChars]) {
+  if (!std::isfinite(value)) {
+    throw ConfigError("json: cannot serialize a non-finite number");
+  }
+  // Shortest spelling in 15..17 significant digits that round-trips exactly.
+  // to_chars with a precision is specified as printf's %.*g.
+  char* end = buf;
+  for (int precision = 15; precision <= 17; ++precision) {
+    end = std::to_chars(buf, buf + kNumberChars, value, std::chars_format::general, precision).ptr;
+    const auto back = read_double(buf, end);
+    if (back.has_value() && bits_equal(*back, value)) break;
+  }
+  // Keep the token recognizably floating-point so it re-parses into double
+  // storage (integers travel through the int paths instead).
+  if (std::find_if(buf, end, [](char c) { return c == '.' || c == 'e'; }) == end) {
+    *end++ = '.';
+    *end++ = '0';
+  }
+  return static_cast<std::size_t>(end - buf);
+}
+
 void append_number(std::string& out, const JsonValue& v) {
+  char buf[kNumberChars];
   switch (v.type()) {
     case JsonValue::Type::kInt:
-      out += std::to_string(v.as_int64());
+      out.append(buf, std::to_chars(buf, buf + kNumberChars, v.as_int64()).ptr);
       return;
     case JsonValue::Type::kUint:
-      out += std::to_string(v.as_uint64());
+      out.append(buf, std::to_chars(buf, buf + kNumberChars, v.as_uint64()).ptr);
       return;
     default:
-      out += format_double(v.as_double());
+      out.append(buf, write_double(v.as_double(), buf));
       return;
   }
 }
@@ -374,12 +416,10 @@ class Parser {
       }
       // Falls through: an integer too large for 64 bits becomes a double.
     }
-    const std::string buf(token);
-    char* end = nullptr;
-    const double d = std::strtod(buf.c_str(), &end);
-    if (end != buf.c_str() + buf.size()) fail("invalid number");
-    if (!std::isfinite(d)) fail("number out of double range");
-    return JsonValue(d);
+    const auto d = read_double(token.data(), token.data() + token.size());
+    if (!d.has_value()) fail("invalid number");
+    if (!std::isfinite(*d)) fail("number out of double range");
+    return JsonValue(*d);
   }
 
   JsonValue parse_array(int depth) {
@@ -514,6 +554,10 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   return nullptr;
 }
 
+JsonValue* JsonValue::find(std::string_view key) {
+  return const_cast<JsonValue*>(std::as_const(*this).find(key));
+}
+
 void JsonValue::set(std::string_view key, JsonValue value) {
   if (type_ != Type::kObject) type_error("object", type_);
   for (auto& m : object_) {
@@ -596,21 +640,8 @@ std::string canonical(const JsonValue& value) {
 }
 
 std::string format_double(double value) {
-  if (!std::isfinite(value)) {
-    throw ConfigError("json: cannot serialize a non-finite number");
-  }
-  // Shortest spelling in 15..17 significant digits that round-trips exactly.
-  char buf[40];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof buf, "%.*g",  // lint-ok: number formatting, not I/O
-                  precision, value);
-    if (bits_equal(std::strtod(buf, nullptr), value)) break;
-  }
-  std::string out = buf;
-  // Keep the token recognizably floating-point so it re-parses into double
-  // storage (integers travel through the int paths instead).
-  if (out.find_first_of(".eE") == std::string::npos) out += ".0";
-  return out;
+  char buf[kNumberChars];
+  return {buf, write_double(value, buf)};
 }
 
 }  // namespace adc::common::json

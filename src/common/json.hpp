@@ -97,6 +97,8 @@ class JsonValue {
 
   /// Object member lookup; nullptr when absent (value must be an object).
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
+  /// Mutable lookup, so a member can be moved out of a parsed document.
+  [[nodiscard]] JsonValue* find(std::string_view key);
   [[nodiscard]] bool contains(std::string_view key) const { return find(key) != nullptr; }
   /// Insert or replace, preserving first-insertion order (value must be an
   /// object).
@@ -148,9 +150,11 @@ inline bool operator!=(const JsonValue& a, const JsonValue& b) { return !a.equal
 /// the input of the scenario hasher.
 [[nodiscard]] std::string canonical(const JsonValue& value);
 
-/// Render one double exactly as the writers do: the shortest decimal
-/// spelling (15..17 significant digits) that strtod's back bit-identically.
-/// Throws ConfigError for non-finite values (JSON cannot represent them).
+/// Render one double exactly as the writers do: the shortest of printf's
+/// %.15g, %.16g and %.17g spellings that reads back bit-identically (made
+/// with std::to_chars, checked with std::from_chars), with ".0" appended
+/// when it has neither a point nor an exponent. Throws ConfigError for
+/// non-finite values (JSON cannot represent them).
 [[nodiscard]] std::string format_double(double value);
 
 }  // namespace adc::common::json

@@ -34,7 +34,7 @@ struct ShardManifest {
   std::size_t scavenged = 0;    ///< of `computed`, jobs outside its shard
   std::size_t elsewhere = 0;    ///< payloads other workers landed mid-run
   std::size_t skipped = 0;      ///< jobs left uncomputed by --max-jobs
-  std::uint64_t pool_jobs = 0;  ///< pool jobs submitted (0 on a warm run)
+  std::uint64_t pool_jobs = 0;  ///< compute pool jobs submitted (0 on a warm run)
   bool complete = false;        ///< full grid had payloads at exit
 };
 

@@ -26,11 +26,10 @@ MergeResult merge_fleet(const adc::scenario::ScenarioSpec& spec,
   result.jobs_total = plan.jobs.size();
 
   // The merge *is* a warm cache read: load every payload the fleet stored.
-  std::vector<std::optional<json::JsonValue>> payloads(plan.jobs.size());
+  const std::vector<std::optional<json::JsonValue>> payloads = cache.load_all(plan.hashes);
   std::vector<std::size_t> missing_per_shard(options.shards, 0);
   std::size_t missing = 0;
   for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-    payloads[i] = cache.load(plan.hashes[i]);
     if (!payloads[i].has_value()) {
       ++missing;
       ++missing_per_shard[fleet.shard_of[i]];
@@ -131,8 +130,8 @@ FleetStatus fleet_status(const adc::scenario::ScenarioSpec& spec,
   const adc::scenario::ScenarioPlan plan = adc::scenario::plan_scenario(spec);
   FleetStatus status;
   status.jobs_total = plan.jobs.size();
-  for (const auto& hash : plan.hashes) {
-    if (cache.load(hash).has_value()) ++status.cached;
+  for (const auto& payload : cache.load_all(plan.hashes)) {
+    if (payload.has_value()) ++status.cached;
   }
   status.claims = cache.claims();
   return status;

@@ -142,9 +142,15 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
   m.jobs_total = plan.jobs.size();
   m.shard_jobs = fleet.shard_sizes[options.shard];
 
+  // Initial probe over the full grid: everything already in the shared
+  // cache — previous runs, other machines — is a warm hit.
+  std::vector<std::optional<json::JsonValue>> payloads =
+      cache.load_all(plan.hashes, options.threads);
+  for (const auto& payload : payloads) {
+    if (payload.has_value()) ++m.cache_hits;
+  }
   result.pool_before = adc::runtime::global_pool().counters();
 
-  std::vector<std::optional<json::JsonValue>> payloads(plan.jobs.size());
   const auto done_count = [&] {
     std::size_t done = 0;
     for (const auto& payload : payloads) {
@@ -152,13 +158,6 @@ WorkerResult run_worker(const adc::scenario::ScenarioSpec& spec,
     }
     return done;
   };
-
-  // Initial probe over the full grid: everything already in the shared
-  // cache — previous runs, other machines — is a warm hit.
-  for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-    payloads[i] = cache.load(plan.hashes[i]);
-    if (payloads[i].has_value()) ++m.cache_hits;
-  }
 
   const auto report_progress = [&](bool scavenging) {
     if (!options.progress) return;

@@ -1,5 +1,7 @@
 #include "scenario/cache.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -9,11 +11,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "runtime/parallel.hpp"
 #include "scenario/hash.hpp"
 
 namespace adc::scenario {
@@ -41,6 +43,30 @@ std::string unique_tmp_suffix() {
   static std::atomic<std::uint64_t> counter{0};
   return ".tmp" + std::to_string(static_cast<long>(::getpid())) + "_" +
          std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
+}
+
+/// The whole file, read with open/read into one string; nullopt when it
+/// cannot be opened. A read error keeps what was read, which then fails
+/// validation like any other damaged entry.
+std::optional<std::string> read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  struct stat info {};
+  const std::size_t size =
+      ::fstat(fd, &info) == 0 && info.st_size > 0 ? static_cast<std::size_t>(info.st_size) : 0;
+  // One spare byte, so a file read whole is confirmed by a zero-byte read.
+  std::string text(size + 1, '\0');
+  std::size_t used = 0;
+  for (;;) {
+    if (used == text.size()) text.resize(2 * text.size());
+    const ssize_t n = ::read(fd, text.data() + used, text.size() - used);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    used += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  text.resize(used);
+  return text;
 }
 
 /// True when the file name marks a store temporary (`<hash>.json.tmpN` or
@@ -111,27 +137,24 @@ std::string ResultCache::entry_path(const std::string& hash) const {
 }
 
 std::optional<json::JsonValue> ResultCache::load(const std::string& hash) {
-  const fs::path path = entry_path(hash);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
+  const std::string path = entry_path(hash);
+  const auto text = read_file(path);
+  if (!text.has_value()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  in.close();
 
   // Validate the envelope; anything unexpected evicts the entry.
   try {
-    const auto envelope = json::parse(buffer.str());
+    auto envelope = json::parse(*text);
     const auto* stored_hash = envelope.find("hash");
     const auto* version = envelope.find("schema_version");
-    const auto* payload = envelope.find("payload");
+    auto* payload = envelope.find("payload");
     if (stored_hash != nullptr && stored_hash->is_string() &&
         stored_hash->as_string() == hash && version != nullptr && version->is_integer() &&
         version->as_uint64() == kScenarioSchemaVersion && payload != nullptr) {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      return *payload;
+      return std::move(*payload);
     }
   } catch (const ConfigError&) {
     // Fall through to eviction.
@@ -141,6 +164,30 @@ std::optional<json::JsonValue> ResultCache::load(const std::string& hash) {
   evictions_.fetch_add(1, std::memory_order_relaxed);
   misses_.fetch_add(1, std::memory_order_relaxed);
   return std::nullopt;
+}
+
+std::vector<std::optional<json::JsonValue>> ResultCache::load_all(
+    const std::vector<std::string>& hashes, unsigned threads) {
+  constexpr std::size_t kEntriesPerJob = 64;
+  adc::runtime::BatchOptions batch;
+  batch.threads = threads;
+  auto chunks = adc::runtime::parallel_map<std::vector<std::optional<json::JsonValue>>>(
+      (hashes.size() + kEntriesPerJob - 1) / kEntriesPerJob,
+      [&](std::size_t c) {
+        const std::size_t first = c * kEntriesPerJob;
+        const std::size_t last = std::min(first + kEntriesPerJob, hashes.size());
+        std::vector<std::optional<json::JsonValue>> loaded;
+        loaded.reserve(last - first);
+        for (std::size_t i = first; i < last; ++i) loaded.push_back(load(hashes[i]));
+        return loaded;
+      },
+      batch);
+  std::vector<std::optional<json::JsonValue>> payloads;
+  payloads.reserve(hashes.size());
+  for (auto& chunk : chunks) {
+    for (auto& payload : chunk) payloads.push_back(std::move(payload));
+  }
+  return payloads;
 }
 
 void ResultCache::store(const std::string& hash, const json::JsonValue& payload) {
@@ -341,11 +388,9 @@ void ResultCache::release_claim(const std::string& hash, const std::string& owne
 }
 
 std::optional<ClaimInfo> ResultCache::read_claim(const std::string& hash) const {
-  std::ifstream in(claim_path(hash), std::ios::binary);
-  if (!in.good()) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_claim(buffer.str());
+  const auto text = read_file(claim_path(hash));
+  if (!text.has_value()) return std::nullopt;
+  return parse_claim(*text);
 }
 
 std::vector<ClaimRecord> ResultCache::claims() const {
@@ -354,11 +399,9 @@ std::vector<ClaimRecord> ResultCache::claims() const {
     if (entry.path().extension() != ".claim") return;
     const std::string stem = entry.path().stem().string();
     if (!is_hex_hash(stem)) return;
-    std::ifstream in(entry.path(), std::ios::binary);
-    if (!in.good()) return;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const auto info = parse_claim(buffer.str());
+    const auto text = read_file(entry.path().string());
+    if (!text.has_value()) return;
+    const auto info = parse_claim(*text);
     // A corrupt claim still occupies the slot; report it with an empty
     // owner so `adc_fleet status` surfaces it as reclaimable.
     records.push_back({stem, info.value_or(ClaimInfo{})});
@@ -381,11 +424,9 @@ StaleSweep ResultCache::clear_stale(std::uint64_t now_ms, std::uint64_t lease_ms
       return;
     }
     if (entry.path().extension() != ".claim") return;
-    std::ifstream in(entry.path(), std::ios::binary);
-    if (!in.good()) return;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const auto info = parse_claim(buffer.str());
+    const auto text = read_file(entry.path().string());
+    if (!text.has_value()) return;
+    const auto info = parse_claim(*text);
     // Corrupt claims are stale by definition; live ones survive the sweep.
     if (!info.has_value() || now_ms >= info->heartbeat_ms + lease_ms) {
       victims.push_back(entry.path());

@@ -107,6 +107,13 @@ class ResultCache {
   /// entries are evicted and count as a miss.
   [[nodiscard]] std::optional<adc::common::json::JsonValue> load(const std::string& hash);
 
+  /// `load` for every hash: slot i holds hashes[i]'s payload or nullopt.
+  /// Runs 64 entries per pool job through runtime::parallel_map at
+  /// `threads` (0 = default resolution); slots and hit/miss counts are the
+  /// same at any width.
+  [[nodiscard]] std::vector<std::optional<adc::common::json::JsonValue>> load_all(
+      const std::vector<std::string>& hashes, unsigned threads = 0);
+
   /// Atomically persist `payload` under `hash` (write temp + rename).
   void store(const std::string& hash, const adc::common::json::JsonValue& payload);
 

@@ -441,9 +441,7 @@ RunResult ScenarioRunner::run(const ScenarioSpec& spec) {
   std::vector<std::optional<json::JsonValue>> payloads(jobs.size());
   {
     auto phase = manifest.phase("cache_probe", jobs.size());
-    if (options_.use_cache) {
-      for (std::size_t i = 0; i < jobs.size(); ++i) payloads[i] = cache.load(hashes[i]);
-    }
+    if (options_.use_cache) payloads = cache.load_all(hashes, options_.threads);
   }
   std::size_t miss_count = 0;
   for (const auto& payload : payloads) {

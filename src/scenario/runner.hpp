@@ -15,9 +15,10 @@
 ///     invocation probes the cache, skips them, and computes only the
 ///     remainder. Resumed results are bit-identical to an uninterrupted run.
 ///   * **Telemetry** — a RunManifest (runtime/manifest.hpp) records the
-///     expand/probe/execute phases, cache counters and pool telemetry. A
-///     fully cached run submits *zero* pool jobs, which is how CI verifies
-///     the 100%-hit re-run.
+///     expand/probe/execute phases, cache counters and pool telemetry. The
+///     probe loads entries on the pool (ResultCache::load_all); a fully
+///     cached run submits *zero* execute-phase pool jobs, which is how CI
+///     verifies the 100%-hit re-run.
 #pragma once
 
 #include <cstddef>

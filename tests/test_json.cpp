@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -151,6 +155,115 @@ TEST(JsonDump, DoubleFormattingRoundTripsBitExactly) {
   EXPECT_EQ(json::format_double(4.0), "4.0");  // stays a double token
   EXPECT_THROW((void)json::format_double(std::nan("")), ConfigError);
   EXPECT_THROW((void)json::format_double(INFINITY), ConfigError);
+}
+
+namespace {
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+double from_bits(std::uint64_t bits) {
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof value);
+  return value;
+}
+
+/// The writer's spelling rule stated with the C library: the first of
+/// %.15g, %.16g, %.17g that strtod reads back bit-identically, with ".0"
+/// appended when the spelling has neither a point nor an exponent.
+std::string printf_oracle(double value) {
+  char buf[40];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
+    if (bits_of(std::strtod(buf, nullptr)) == bits_of(value)) break;
+  }
+  std::string out = buf;
+  if (out.find_first_of(".eE") == std::string::npos) out += ".0";
+  return out;
+}
+
+}  // namespace
+
+TEST(JsonDump, FormatDoubleMatchesPrintfOracle) {
+  std::vector<double> cases = {0.0,
+                               -0.0,
+                               4.9e-324,
+                               -4.9e-324,
+                               DBL_MIN,
+                               -DBL_MIN,
+                               DBL_MAX,
+                               -DBL_MAX,
+                               9007199254740991.0,  // 2^53 - 1
+                               9007199254740992.0,  // 2^53
+                               9007199254740993.0,  // 2^53 + 1 (rounds to 2^53)
+                               1e15,
+                               1e16,
+                               1e17,
+                               999999999999999.9,
+                               1e-5,  // %g switches to exponent style below 1e-4
+                               1e-4,
+                               9.9999999999999991e-5,
+                               0.1,
+                               1.0 / 3.0,
+                               2.0 / 3.0,
+                               0.69999999999999996,  // needs 17 digits
+                               5e-324 * 3,
+                               1.2345678901234567,  // needs 17 digits
+                               1.1,                 // 15 digits suffice
+                               110e6,
+                               64.69819882269162};
+  for (int k = 1; k <= 17; ++k) cases.push_back(std::nextafter(std::pow(10.0, k), 0.0));
+  for (const double v : cases) {
+    EXPECT_EQ(json::format_double(v), printf_oracle(v)) << "bits " << bits_of(v);
+  }
+
+  // Random finite bit patterns from a fixed splitmix64 stream.
+  std::uint64_t state = 0x5eed5eed5eed5eedull;
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  while (checked < 1000000) {
+    state += 0x9e3779b97f4a7c15ull;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    z ^= z >> 31;
+    const double v = from_bits(z);
+    if (!std::isfinite(v)) continue;
+    ++checked;
+    const std::string got = json::format_double(v);
+    const std::string want = printf_oracle(v);
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << "bits " << z << ": " << got << " vs oracle " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonParse, NumberParseEdgeCasesUnchanged) {
+  // Underflow reads as zero, as strtod reads it, keeping the sign.
+  const auto tiny = json::parse("1e-400");
+  EXPECT_EQ(tiny.type(), JsonValue::Type::kDouble);
+  EXPECT_EQ(bits_of(tiny.as_double()), bits_of(0.0));
+  EXPECT_EQ(bits_of(json::parse("-1e-400").as_double()), bits_of(-0.0));
+  // Overflow is an error.
+  try {
+    (void)json::parse("1e400");
+    ADD_FAILURE() << "1e400 parsed";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("out of double range"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(bits_of(json::parse("-0.0").as_double()), bits_of(-0.0));
+  EXPECT_TRUE(std::signbit(json::parse("-0.0").as_double()));
+  EXPECT_EQ(bits_of(json::parse("4.9e-324").as_double()), 1u);
+  EXPECT_EQ(bits_of(json::parse("2.2250738585072014e-308").as_double()), bits_of(DBL_MIN));
+  const auto big = json::parse("123456789012345678901234567890");
+  EXPECT_EQ(big.type(), JsonValue::Type::kDouble);
+  EXPECT_EQ(bits_of(big.as_double()), bits_of(std::strtod("123456789012345678901234567890", nullptr)));
+  EXPECT_EQ(bits_of(json::parse("-123456789012345678901234567890").as_double()),
+            bits_of(-1.2345678901234568e29));
 }
 
 TEST(JsonCanonical, SortsKeysAtEveryLevel) {

@@ -10,7 +10,9 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <iterator>
 #include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/fidelity.hpp"
@@ -704,4 +706,78 @@ TEST_F(ScenarioTest, BatchedYieldHandlesScatteredCacheHitsAndThreadCounts) {
     EXPECT_EQ(json::dump(run.report), json::dump(scalar_report))
         << "report drifted at threads=" << threads;
   }
+}
+
+namespace {
+
+/// A fast yield sweep over 160 dies with short records: enough entries for
+/// the pooled cache probe to split into several pool jobs (64 per job).
+const char* kProbeYieldSpec = R"({
+  "name": "yield_probe",
+  "stimulus": {"type": "tone", "frequency_hz": 10e6, "record_length": 256},
+  "measurement": {"type": "yield", "metric": "sndr_db", "limit": 50.0},
+  "die": {"fidelity": "fast"},
+  "seeds": {"first": 7, "count": 160}
+})";
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+}  // namespace
+
+TEST_F(ScenarioTest, PooledProbeIsIdenticalAtAnyThreadCount) {
+  const auto spec = parse_spec_text(kProbeYieldSpec);
+  RunOptions cold_options;
+  cold_options.cache_dir = path("cache");
+  cold_options.report_dir = path("cold");
+  const auto cold = ScenarioRunner(cold_options).run(spec);
+  ASSERT_EQ(cold.computed, 160u);
+
+  std::vector<RunResult> warm;
+  for (const unsigned threads : {1u, 4u}) {
+    RunOptions options;
+    options.cache_dir = cold_options.cache_dir;
+    options.report_dir = path("warm-t" + std::to_string(threads));
+    options.threads = threads;
+    warm.push_back(ScenarioRunner(options).run(spec));
+    EXPECT_EQ(warm.back().cache_hits, 160u) << "threads=" << threads;
+    EXPECT_EQ(warm.back().computed, 0u) << "threads=" << threads;
+  }
+  for (const auto& run : warm) {
+    EXPECT_EQ(file_bytes(run.report_json_path), file_bytes(cold.report_json_path));
+    EXPECT_EQ(file_bytes(run.report_csv_path), file_bytes(cold.report_csv_path));
+  }
+}
+
+TEST_F(ScenarioTest, PooledProbeEvictsTruncatedAndMisaddressedEntriesOnce) {
+  const auto spec = parse_spec_text(kProbeYieldSpec);
+  const auto plan = plan_scenario(spec);
+  RunOptions options;
+  options.cache_dir = path("cache");
+  options.threads = 4;
+  const auto cold = ScenarioRunner(options).run(spec);
+  ASSERT_EQ(cold.computed, 160u);
+
+  // Entries in different probe jobs: one truncated, one holding another
+  // job's envelope (its hash echo no longer matches its address).
+  const auto entry = [&](std::size_t i) {
+    return fs::path(options.cache_dir) / plan.hashes[i].substr(0, 2) / (plan.hashes[i] + ".json");
+  };
+  {
+    std::ofstream out(entry(10), std::ios::binary | std::ios::trunc);
+    out << R"({"hash": "truncated)";
+  }
+  fs::copy_file(entry(71), entry(130), fs::copy_options::overwrite_existing);
+
+  const auto healed = ScenarioRunner(options).run(spec);
+  EXPECT_EQ(healed.cache_evictions, 2u);
+  EXPECT_EQ(healed.cache_hits, 158u);
+  EXPECT_EQ(healed.computed, 2u);
+  EXPECT_EQ(json::dump(healed.report), json::dump(cold.report));
+
+  const auto again = ScenarioRunner(options).run(spec);
+  EXPECT_EQ(again.cache_evictions, 0u);
+  EXPECT_EQ(again.cache_hits, 160u);
 }
