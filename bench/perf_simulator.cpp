@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "batch/batch_api.hpp"
@@ -215,7 +216,7 @@ BENCHMARK(BM_MonteCarloSndr)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 // End-to-end yield-style workload under the fast profile: 16 dies, full
 // dynamic test (capture + FFT + metrics) per die. The scalar variant runs
 // the per-die loop; the Batch variant is the same workload through
-// run_monte_carlo_dynamic and the batch conversion engine. Single-threaded
+// run_dynamic_test_dies (the batch conversion engine) and summarize. Single-threaded
 // on purpose so the pair isolates the engine, not the pool; items = dies x
 // record samples, directly comparable across the pair.
 void BM_MonteCarloFastSndr(benchmark::State& state) {
@@ -243,17 +244,17 @@ void BM_MonteCarloFastSndrBatch(benchmark::State& state) {
   config.fidelity = adc::common::FidelityProfile::kFast;
   adc::testbench::DynamicTestOptions test;
   test.record_length = 1 << 11;
-  adc::testbench::MonteCarloOptions mc;
-  mc.num_dies = 16;
-  mc.first_seed = 42;
-  mc.threads = 1;
-  const auto metric = [](const adc::testbench::DynamicTestResult& r) {
-    return r.metrics.sndr_db;
-  };
+  std::vector<std::uint64_t> seeds(16);
+  for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 42 + i;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(adc::testbench::run_monte_carlo_dynamic(config, test, metric, mc));
+    std::vector<double> values;
+    for (const auto& r : adc::testbench::run_dynamic_test_dies(config, seeds, test, 1)) {
+      values.push_back(r.metrics.sndr_db);
+    }
+    benchmark::DoNotOptimize(adc::testbench::summarize(std::move(values)));
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * mc.num_dies *
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(seeds.size()) *
                           static_cast<std::int64_t>(test.record_length));
 }
 BENCHMARK(BM_MonteCarloFastSndrBatch)->Unit(benchmark::kMillisecond);

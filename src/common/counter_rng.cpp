@@ -10,8 +10,7 @@ void philox_normal_fill(std::uint64_t key, std::uint64_t stream, std::uint64_t f
                         std::span<double> out) {
   // Body lives in counter_rng_tile.hpp so the fast kernel's translation
   // units (the one-lane baseline one and the batch engine's per-ISA ones)
-  // re-compile the identical algorithm inline. This baseline-compiled
-  // symbol backs NoisePlane.
+  // re-compile the identical algorithm inline.
   tile::philox_normal_fill_ptr(key, stream, first, out.data(), out.size());
 }
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -26,9 +27,7 @@ namespace json = adc::common::json;
 
 namespace {
 
-/// Options of the single-tone bench for a resolved job — shared by the
-/// per-job path (execute_job) and the die-group path (compute_unit) so both
-/// measure the exact same tone.
+/// Options of the single-tone bench for a resolved job.
 adc::testbench::DynamicTestOptions dynamic_options(const ResolvedJob& job) {
   adc::testbench::DynamicTestOptions options;
   options.record_length = job.stimulus.record_length;
@@ -40,9 +39,20 @@ adc::testbench::DynamicTestOptions dynamic_options(const ResolvedJob& job) {
   return options;
 }
 
-/// Payload of a dynamic measurement. One builder for the per-job and
-/// die-group paths: identical key order, identical doubles, identical cache
-/// bytes.
+/// Options of the two-tone bench for a resolved job (same in-band cap).
+adc::testbench::TwoToneOptions two_tone_options(const ResolvedJob& job) {
+  adc::testbench::TwoToneOptions options;
+  options.record_length = job.stimulus.record_length;
+  const double fin_cap = job.stimulus.max_fin_fraction * job.config.conversion_rate / 2.0;
+  options.center_hz = std::min(job.stimulus.frequency_hz, fin_cap);
+  options.spacing_hz = job.stimulus.spacing_hz;
+  options.amplitude_fraction = job.stimulus.amplitude_fraction;
+  return options;
+}
+
+// Payload builders, one per measurement kind. Their key order and doubles
+// are the cache bytes, so they change only with kScenarioSchemaVersion.
+
 json::JsonValue dynamic_payload(const adc::testbench::DynamicTestResult& result) {
   auto payload = json::JsonValue::object();
   payload.set("tone_hz", result.tone.frequency_hz);
@@ -54,22 +64,7 @@ json::JsonValue dynamic_payload(const adc::testbench::DynamicTestResult& result)
   return payload;
 }
 
-json::JsonValue run_dynamic(const ResolvedJob& job) {
-  adc::pipeline::PipelineAdc adc(job.config);
-  const auto result = adc::testbench::run_dynamic_test(adc, dynamic_options(job));
-  return dynamic_payload(result);
-}
-
-json::JsonValue run_two_tone(const ResolvedJob& job) {
-  adc::pipeline::PipelineAdc adc(job.config);
-  adc::testbench::TwoToneOptions options;
-  options.record_length = job.stimulus.record_length;
-  const double fin_cap = job.stimulus.max_fin_fraction * job.config.conversion_rate / 2.0;
-  options.center_hz = std::min(job.stimulus.frequency_hz, fin_cap);
-  options.spacing_hz = job.stimulus.spacing_hz;
-  options.amplitude_fraction = job.stimulus.amplitude_fraction;
-  const auto result = adc::testbench::run_two_tone_test(adc, options);
-
+json::JsonValue two_tone_payload(const adc::testbench::TwoToneResult& result) {
   auto payload = json::JsonValue::object();
   payload.set("f1_hz", result.f1_hz);
   payload.set("f2_hz", result.f2_hz);
@@ -81,12 +76,7 @@ json::JsonValue run_two_tone(const ResolvedJob& job) {
   return payload;
 }
 
-json::JsonValue run_static(const ResolvedJob& job) {
-  adc::pipeline::PipelineAdc adc(job.config);
-  adc::testbench::HistogramTestOptions options;
-  options.samples = job.measurement.samples;
-  const auto result = adc::testbench::run_histogram_test(adc, options);
-
+json::JsonValue static_payload(const adc::dsp::LinearityResult& result) {
   auto payload = json::JsonValue::object();
   payload.set("dnl_min", result.dnl_min);
   payload.set("dnl_max", result.dnl_max);
@@ -97,11 +87,7 @@ json::JsonValue run_static(const ResolvedJob& job) {
   return payload;
 }
 
-json::JsonValue run_power(const ResolvedJob& job) {
-  adc::pipeline::PipelineAdc adc(job.config);
-  const adc::power::PowerModel model(adc::pipeline::nominal_power_spec());
-  const auto breakdown = model.estimate(adc);
-
+json::JsonValue power_payload(const adc::power::PowerBreakdown& breakdown) {
   auto payload = json::JsonValue::object();
   payload.set("pipeline_analog_w", breakdown.pipeline_analog);
   payload.set("bias_generator_w", breakdown.bias_generator);
@@ -111,6 +97,55 @@ json::JsonValue run_power(const ResolvedJob& job) {
   payload.set("digital_w", breakdown.digital);
   payload.set("total_w", breakdown.total());
   return payload;
+}
+
+/// Measure the dies `seeds` at `first`'s grid point (the unit's jobs differ
+/// from `first` only in seed): one payload per seed, in order. The one
+/// compute call of compute_unit, for every measurement kind. The conversion
+/// benches measure the seeds as one die group; static and power units hold
+/// one job (see form_units), measured on its own PipelineAdc.
+std::vector<json::JsonValue> measure_dies(const ResolvedJob& first,
+                                          std::span<const std::uint64_t> seeds) {
+  std::vector<json::JsonValue> out;
+  out.reserve(seeds.size());
+  const auto die = [&first](std::uint64_t seed) {
+    adc::pipeline::AdcConfig config = first.config;
+    config.seed = seed;
+    return adc::pipeline::PipelineAdc(config);
+  };
+  switch (first.measurement.type) {
+    case MeasurementSpec::Type::kDynamic:
+    case MeasurementSpec::Type::kYield:
+      if (first.stimulus.type == StimulusSpec::Type::kTwoTone) {
+        for (const auto& result : adc::testbench::run_two_tone_test_block(
+                 first.config, seeds, two_tone_options(first))) {
+          out.push_back(two_tone_payload(result));
+        }
+      } else {
+        for (const auto& result : adc::testbench::run_dynamic_test_block(
+                 first.config, seeds, dynamic_options(first))) {
+          out.push_back(dynamic_payload(result));
+        }
+      }
+      return out;
+    case MeasurementSpec::Type::kStatic: {
+      adc::testbench::HistogramTestOptions options;
+      options.samples = first.measurement.samples;
+      for (const std::uint64_t seed : seeds) {
+        auto adc = die(seed);
+        out.push_back(static_payload(adc::testbench::run_histogram_test(adc, options)));
+      }
+      return out;
+    }
+    case MeasurementSpec::Type::kPower: {
+      const adc::power::PowerModel model(adc::pipeline::nominal_power_spec());
+      for (const std::uint64_t seed : seeds) {
+        out.push_back(power_payload(model.estimate(die(seed))));
+      }
+      return out;
+    }
+  }
+  throw adc::common::ConfigError("ScenarioRunner: unknown measurement type");
 }
 
 std::string csv_cell(const json::JsonValue& value) {
@@ -147,15 +182,6 @@ bool same_grid_point(const JobPoint& a, const JobPoint& b) {
     }
   }
   return true;
-}
-
-/// True when the spec measures single-tone dynamic (or yield-over-dynamic)
-/// captures: its units are measured as die groups by
-/// run_dynamic_test_block.
-bool single_tone(const ScenarioSpec& spec) {
-  const bool dynamic_measurement = spec.measurement.type == MeasurementSpec::Type::kDynamic ||
-                                   spec.measurement.type == MeasurementSpec::Type::kYield;
-  return dynamic_measurement && spec.stimulus.type == StimulusSpec::Type::kTone;
 }
 
 }  // namespace
@@ -296,11 +322,15 @@ ReportPaths write_report_files(const json::JsonValue& report, const std::string&
 std::vector<ExecuteUnit> form_units(const ScenarioSpec& spec, const ScenarioPlan& plan,
                                     const std::vector<std::size_t>& indices) {
   // Seeds are innermost in the expansion, so same-point jobs are adjacent.
-  // Only fast-profile dies share a unit: the batch engine converts them
-  // kLanes wide, while an exact die gains nothing from company and keeps a
-  // pool job of its own.
-  const bool batchable =
-      single_tone(spec) && spec.die.fidelity == adc::common::FidelityProfile::kFast;
+  // Only fast-profile conversion benches (single- or two-tone) share a
+  // unit: the batch engine converts their dies kLanes wide, while an exact
+  // die gains nothing from company. Static and power jobs keep one job per
+  // unit too: a power estimate converts nothing, and a grouped histogram
+  // unit would hold every die's whole code record (16 MB per die at Table
+  // I's 4M samples) at once.
+  const bool dynamic_like = spec.measurement.type == MeasurementSpec::Type::kDynamic ||
+                            spec.measurement.type == MeasurementSpec::Type::kYield;
+  const bool batchable = dynamic_like && spec.die.fidelity == adc::common::FidelityProfile::kFast;
   std::vector<ExecuteUnit> units;
   for (const std::size_t index : indices) {
     if (!batchable || units.empty() || units.back().size() >= adc::batch::kLanes ||
@@ -326,19 +356,12 @@ std::vector<std::optional<json::JsonValue>> compute_unit(const ScenarioSpec& spe
     if (!hooks.acquire || hooks.acquire(unit[t], plan.hashes[unit[t]])) mine.push_back(t);
   }
   if (mine.empty()) return out;
-  if (single_tone(spec)) {
-    // A unit's jobs share one grid point, so they differ only in seed.
-    const ResolvedJob first = resolve_job(spec, plan.jobs[unit[mine.front()]]);
-    std::vector<std::uint64_t> seeds;
-    for (const std::size_t t : mine) seeds.push_back(plan.jobs[unit[t]].seed);
-    const auto results =
-        adc::testbench::run_dynamic_test_block(first.config, seeds, dynamic_options(first));
-    for (std::size_t m = 0; m < mine.size(); ++m) out[mine[m]] = dynamic_payload(results[m]);
-  } else {
-    for (const std::size_t t : mine) {
-      out[t] = ScenarioRunner::execute_job(resolve_job(spec, plan.jobs[unit[t]]));
-    }
-  }
+  // A unit's jobs share one grid point, so they differ only in seed.
+  const ResolvedJob first = resolve_job(spec, plan.jobs[unit[mine.front()]]);
+  std::vector<std::uint64_t> seeds;
+  for (const std::size_t t : mine) seeds.push_back(plan.jobs[unit[t]].seed);
+  auto payloads = measure_dies(first, seeds);
+  for (std::size_t m = 0; m < mine.size(); ++m) out[mine[m]] = std::move(payloads[m]);
   // Persist before anyone is told, which is what makes interrupted runs
   // resumable.
   for (const std::size_t t : mine) {
@@ -397,18 +420,6 @@ ExecuteOutcome execute_plan(const ScenarioSpec& spec, const ScenarioPlan& plan,
 }
 
 ScenarioRunner::ScenarioRunner(RunOptions options) : options_(std::move(options)) {}
-
-json::JsonValue ScenarioRunner::execute_job(const ResolvedJob& job) {
-  switch (job.measurement.type) {
-    case MeasurementSpec::Type::kDynamic:
-    case MeasurementSpec::Type::kYield:
-      return job.stimulus.type == StimulusSpec::Type::kTwoTone ? run_two_tone(job)
-                                                               : run_dynamic(job);
-    case MeasurementSpec::Type::kStatic: return run_static(job);
-    case MeasurementSpec::Type::kPower: return run_power(job);
-  }
-  throw adc::common::ConfigError("ScenarioRunner: unknown measurement type");
-}
 
 RunResult ScenarioRunner::run(const ScenarioSpec& spec) {
   RunResult result;

@@ -19,6 +19,10 @@
 ///     probe loads entries on the pool (ResultCache::load_all); a fully
 ///     cached run submits *zero* execute-phase pool jobs, which is how CI
 ///     verifies the 100%-hit re-run.
+///   * **One compute path** — every cache miss is computed by compute_unit,
+///     which measures an execute unit's dies in one call whatever the
+///     measurement kind (single-tone, two-tone, static or power). The CLI,
+///     the fleet worker and the scenario service all go through it.
 #pragma once
 
 #include <cstddef>
@@ -165,21 +169,22 @@ struct ExecuteOutcome {
 using ExecuteUnit = std::vector<std::size_t>;
 
 /// Group plan indices into execute units: up to adc::batch::kLanes
-/// consecutive same-grid-point indices of a fast single-tone sweep (they
-/// differ only in seed), one index per unit for every other spec.
+/// consecutive same-grid-point indices of a fast-profile dynamic or yield
+/// sweep, single- or two-tone (they differ only in seed), one index per
+/// unit for every other spec — exact dies, static and power jobs.
 [[nodiscard]] std::vector<ExecuteUnit> form_units(const ScenarioSpec& spec,
                                                   const ScenarioPlan& plan,
                                                   const std::vector<std::size_t>& indices);
 
 /// Compute a unit of form_units (or a subset of one) — the one compute path
 /// of the CLI, the fleet worker and the scenario service. The jobs
-/// `hooks.acquire` admits are measured as one die group by
-/// adc::testbench::run_dynamic_test_block when the spec is single-tone
-/// dynamic (the group's converter picks the wide kernel or die by die),
-/// else one by one through ScenarioRunner::execute_job (the two are
-/// bit-identical); each payload is stored in `cache` (if set) before
-/// `hooks.stored`. Returns payloads aligned with `unit`; declined slots stay
-/// empty.
+/// `hooks.acquire` admits are measured together, whatever the measurement
+/// kind: the single- and two-tone benches take them as one die group
+/// (adc::testbench::run_dynamic_test_block / run_two_tone_test_block, whose
+/// converter picks the wide kernel or die by die), the histogram and power
+/// benches take each die on its own PipelineAdc. Each payload is stored in
+/// `cache` (if set) before `hooks.stored`. Returns payloads aligned with
+/// `unit`; declined slots stay empty.
 [[nodiscard]] std::vector<std::optional<adc::common::json::JsonValue>> compute_unit(
     const ScenarioSpec& spec, const ScenarioPlan& plan, const ExecuteUnit& unit,
     ResultCache* cache, const ExecuteHooks& hooks = {});
@@ -204,11 +209,6 @@ class ScenarioRunner {
   /// Run one scenario end-to-end. Throws ConfigError/MeasurementError on
   /// invalid specs or I/O failure.
   [[nodiscard]] RunResult run(const ScenarioSpec& spec);
-
-  /// Execute one resolved job immediately (no cache); the payload that
-  /// would be stored. compute_unit's per-job path for every measurement
-  /// but single-tone dynamic; exposed for tests.
-  [[nodiscard]] static adc::common::json::JsonValue execute_job(const ResolvedJob& job);
 
  private:
   RunOptions options_;

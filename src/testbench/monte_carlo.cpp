@@ -58,25 +58,4 @@ MonteCarloResult run_monte_carlo(const adc::pipeline::AdcConfig& base, const Die
       batch));
 }
 
-MonteCarloResult run_monte_carlo_dynamic(const adc::pipeline::AdcConfig& base,
-                                         const DynamicTestOptions& test,
-                                         const DynamicMetric& metric,
-                                         const MonteCarloOptions& options) {
-  adc::common::require(options.num_dies >= 1, "run_monte_carlo_dynamic: need at least one die");
-  adc::common::require(static_cast<bool>(metric), "run_monte_carlo_dynamic: empty metric");
-
-  // The per-die work (capture + FFT) lives in run_dynamic_test_dies, which
-  // blocks the dies by adc::batch::kLanes, one BatchConverter per block.
-  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(options.num_dies));
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    seeds[i] = options.first_seed + static_cast<std::uint64_t>(i);
-  }
-  const auto die_results = run_dynamic_test_dies(base, seeds, test, options.threads);
-
-  std::vector<double> values;
-  values.reserve(die_results.size());
-  for (const auto& r : die_results) values.push_back(metric(r));
-  return summarize(std::move(values));
-}
-
 }  // namespace adc::testbench

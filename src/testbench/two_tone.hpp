@@ -7,9 +7,17 @@
 /// right next to the wanted channel. This bench applies two coherent tones
 /// (each backed off 6 dB so the sum stays within full scale) and integrates
 /// the close-in third-order products.
+///
+/// Like the single-tone bench (dynamic_test.hpp), it has one measurement
+/// body and two captures: run_two_tone_test measures one realized die, and
+/// run_two_tone_test_block measures a group of seeds through one
+/// adc::batch::BatchConverter. A die reads the same result on either.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "common/units.hpp"
 #include "dsp/spectrum.hpp"
@@ -47,5 +55,14 @@ struct TwoToneResult {
 /// Run a two-tone test on a realized converter.
 [[nodiscard]] TwoToneResult run_two_tone_test(adc::pipeline::PipelineAdc& adc,
                                               const TwoToneOptions& options = {});
+
+/// Run the same two-tone test on a group of dies fabricated from `base`
+/// (each seed overrides base.seed; at least one seed, any fidelity profile)
+/// on the calling thread, through one adc::batch::BatchConverter that picks
+/// the wide kernel or die by die. Entry d is byte-identical to
+/// run_two_tone_test on a fresh PipelineAdc fabricated with seeds[d].
+[[nodiscard]] std::vector<TwoToneResult> run_two_tone_test_block(
+    const adc::pipeline::AdcConfig& base, std::span<const std::uint64_t> seeds,
+    const TwoToneOptions& options = {});
 
 }  // namespace adc::testbench

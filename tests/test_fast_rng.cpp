@@ -8,8 +8,8 @@
 ///  * the batched fill and the scalar positional lookup must agree
 ///    bit-for-bit at every chunking (the batched cipher is a separately
 ///    vectorized round-major implementation of the same Philox network);
-///  * a NoisePlane window regenerated anywhere must reproduce the same
-///    draws for the same absolute sample index;
+///  * a (sample × slot) noise window regenerated anywhere must reproduce
+///    the same draws for the same absolute sample index;
 ///  * the deviates must actually be standard normals (moments + KS), since
 ///    branch-free Box–Muller replaces the exact profile's polar method;
 ///  * the polynomial transcendental kernels must track libm to the few-ulp
@@ -22,15 +22,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/counter_rng.hpp"
 #include "common/fastmath.hpp"
-#include "common/noise_plane.hpp"
 
 namespace {
 
-using adc::common::NoisePlane;
 using adc::common::philox4x32;
 using adc::common::philox_normal_at;
 using adc::common::philox_normal_fill;
@@ -85,20 +84,28 @@ TEST(PhiloxRng, StreamsAndKeysAreIndependentAxes) {
   EXPECT_NE(base, philox_normal_at(kKey, kStream, 124));
 }
 
-TEST(PhiloxRng, NoisePlaneRegenerationIsBitIdentical) {
+/// Rows [first, first + count) of capture `epoch`, `slots` deviates per
+/// row: the positional fill the fast kernel's chunk loop issues, where the
+/// deviate in (sample, slot) sits at index sample·slots + slot.
+std::vector<double> noise_rows(std::uint64_t epoch, std::uint64_t first, std::size_t count,
+                               std::uint32_t slots) {
+  std::vector<double> rows(count * slots);
+  philox_normal_fill(kKey, epoch, first * slots, rows);
+  return rows;
+}
+
+TEST(PhiloxRng, NoiseWindowRegenerationIsBitIdentical) {
   constexpr std::uint32_t kSlots = 37;
   constexpr std::uint64_t kEpoch = 3;
-  NoisePlane reference(kKey, kSlots);
-  reference.generate(kEpoch, 0, 1000);
+  const auto reference = noise_rows(kEpoch, 0, 1000, kSlots);
 
   // A window opened anywhere must reproduce the same rows: the plane is a
   // view of one infinite positional sequence, not a stateful generator.
-  NoisePlane window(kKey, kSlots);
   for (const std::uint64_t first : {0ull, 1ull, 499ull, 900ull}) {
-    window.generate(kEpoch, first, 100);
+    const auto window = noise_rows(kEpoch, first, 100, kSlots);
     for (std::uint64_t s = first; s < first + 100; ++s) {
-      const double* a = reference.row(s);
-      const double* b = window.row(s);
+      const double* a = reference.data() + s * kSlots;
+      const double* b = window.data() + (s - first) * kSlots;
       for (std::uint32_t k = 0; k < kSlots; ++k) {
         ASSERT_EQ(a[k], b[k]) << "sample " << s << " slot " << k;
       }
@@ -107,13 +114,12 @@ TEST(PhiloxRng, NoisePlaneRegenerationIsBitIdentical) {
 
   // Epochs are disjoint: a re-capture must not replay the previous capture's
   // noise.
-  window.generate(kEpoch + 1, 0, 1);
-  EXPECT_NE(window.row(0)[0], reference.row(0)[0]);
+  EXPECT_NE(noise_rows(kEpoch + 1, 0, 1, kSlots)[0], reference[0]);
 }
 
 TEST(PhiloxRng, ChunkedRegenerationAcrossEpochBoundaries) {
-  // The batch engine regenerates a plane in kChunkSamples windows and bumps
-  // the epoch between captures, interleaving (epoch, window) pairs in
+  // The fast kernel regenerates its noise in kChunkSamples windows and
+  // bumps the epoch between captures, interleaving (epoch, window) pairs in
   // whatever order the die-blocks run. Contract: a chunk regenerated after
   // *any* sequence of other (epoch, window) fills — including fills of a
   // different epoch in between — is bit-identical to the one-shot plane of
@@ -123,12 +129,8 @@ TEST(PhiloxRng, ChunkedRegenerationAcrossEpochBoundaries) {
   constexpr std::size_t kRows = 640;  // spans several 128-block tiles
   const std::uint64_t epochs[] = {11, 12};
 
-  NoisePlane ref_a(kKey, kSlots);
-  ref_a.generate(epochs[0], 0, kRows);
-  std::vector<double> plane_a(ref_a.row(0), ref_a.row(0) + kRows * kSlots);
-  NoisePlane ref_b(kKey, kSlots);
-  ref_b.generate(epochs[1], 0, kRows);
-  std::vector<double> plane_b(ref_b.row(0), ref_b.row(0) + kRows * kSlots);
+  const auto plane_a = noise_rows(epochs[0], 0, kRows, kSlots);
+  const auto plane_b = noise_rows(epochs[1], 0, kRows, kSlots);
 
   // Same positions, adjacent epochs: the planes must be fully decorrelated,
   // not shifted copies.
@@ -143,14 +145,13 @@ TEST(PhiloxRng, ChunkedRegenerationAcrossEpochBoundaries) {
   // Ping-pong chunked regeneration between the two epochs, with window
   // starts chosen to straddle tile boundaries (a tile is 128 blocks = 256
   // deviates; a 36-slot row never aligns with it).
-  NoisePlane window(kKey, kSlots);
   for (const std::uint64_t first : {0ull, 1ull, 127ull, 255ull, 256ull, 500ull}) {
     for (int flip = 0; flip < 2; ++flip) {
       const std::uint64_t epoch = epochs[flip];
       const std::vector<double>& plane = (flip == 0) ? plane_a : plane_b;
-      window.generate(epoch, first, 100);
+      const auto window = noise_rows(epoch, first, 100, kSlots);
       for (std::uint64_t s = first; s < first + 100; ++s) {
-        const double* got = window.row(s);
+        const double* got = window.data() + (s - first) * kSlots;
         const double* want = plane.data() + s * kSlots;
         for (std::uint32_t k = 0; k < kSlots; ++k) {
           ASSERT_EQ(got[k], want[k])

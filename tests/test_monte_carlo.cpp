@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -20,6 +22,23 @@ double quick_sndr(ap::PipelineAdc& adc) {
   tb::DynamicTestOptions opt;
   opt.record_length = 1 << 11;
   return tb::run_dynamic_test(adc, opt).metrics.sndr_db;
+}
+
+/// Monte-Carlo over the dynamic bench: the dies of `options` measured by
+/// run_dynamic_test_dies, then `metric` reduced by summarize — the
+/// composition bench/mc_yield.cpp uses.
+template <typename Metric>
+tb::MonteCarloResult dynamic_monte_carlo(const ap::AdcConfig& base,
+                                         const tb::DynamicTestOptions& test,
+                                         const Metric& metric,
+                                         const tb::MonteCarloOptions& options) {
+  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(options.num_dies));
+  for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = options.first_seed + i;
+  std::vector<double> values;
+  for (const auto& r : tb::run_dynamic_test_dies(base, seeds, test, options.threads)) {
+    values.push_back(metric(r));
+  }
+  return tb::summarize(std::move(values));
 }
 
 }  // namespace
@@ -116,7 +135,7 @@ TEST(MonteCarlo, DynamicRunnerMatchesScalarMetricBitExact) {
   tb::MonteCarloOptions opt;
   opt.num_dies = 10;
   opt.first_seed = 700;
-  const auto batched = tb::run_monte_carlo_dynamic(
+  const auto batched = dynamic_monte_carlo(
       fast, test, [](const tb::DynamicTestResult& r) { return r.metrics.sndr_db; }, opt);
   const auto scalar = tb::run_monte_carlo(
       fast,
@@ -138,7 +157,7 @@ TEST(MonteCarlo, DynamicRunnerMatchesScalarWithAveraging) {
   tb::MonteCarloOptions opt;
   opt.num_dies = 8;
   opt.first_seed = 900;
-  const auto batched = tb::run_monte_carlo_dynamic(
+  const auto batched = dynamic_monte_carlo(
       fast, test, [](const tb::DynamicTestResult& r) { return r.metrics.snr_db; }, opt);
   const auto scalar = tb::run_monte_carlo(
       fast,
@@ -182,8 +201,8 @@ TEST(MonteCarlo, BatchedYieldIsThreadCountInvariant) {
   serial.threads = 1;
   tb::MonteCarloOptions parallel = serial;
   parallel.threads = 4;
-  const auto a = tb::run_monte_carlo_dynamic(fast, test, metric, serial);
-  const auto b = tb::run_monte_carlo_dynamic(fast, test, metric, parallel);
+  const auto a = dynamic_monte_carlo(fast, test, metric, serial);
+  const auto b = dynamic_monte_carlo(fast, test, metric, parallel);
   EXPECT_EQ(a.values, b.values);
   EXPECT_DOUBLE_EQ(a.yield_at_least(63.0), b.yield_at_least(63.0));
 }
@@ -192,10 +211,7 @@ TEST(MonteCarlo, DynamicRunnerRejectsBadInput) {
   const auto metric = [](const tb::DynamicTestResult& r) { return r.metrics.sndr_db; };
   tb::MonteCarloOptions opt;
   opt.num_dies = 0;
-  EXPECT_THROW((void)tb::run_monte_carlo_dynamic(ap::nominal_design(), {}, metric, opt),
-               adc::common::ConfigError);
-  opt.num_dies = 1;
-  EXPECT_THROW((void)tb::run_monte_carlo_dynamic(ap::nominal_design(), {}, nullptr, opt),
+  EXPECT_THROW((void)dynamic_monte_carlo(ap::nominal_design(), {}, metric, opt),
                adc::common::ConfigError);
 }
 

@@ -1,10 +1,12 @@
 /// Tests for the scenario engine (src/scenario/): spec validation naming the
 /// offending key, sweep expansion, key-order-independent hashing, cache
 /// correctness (bit-identical hits, corrupt-entry eviction, env-var root),
-/// and interrupted-run resume producing bit-identical reports.
+/// interrupted-run resume producing bit-identical reports, and report
+/// digests pinned for every measurement kind.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -12,15 +14,18 @@
 #include <string>
 #include <iterator>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/fidelity.hpp"
 #include "common/json.hpp"
+#include "pipeline/adc.hpp"
 #include "scenario/cache.hpp"
 #include "scenario/hash.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
+#include "testbench/dynamic_test.hpp"
 
 namespace fs = std::filesystem;
 namespace json = adc::common::json;
@@ -484,6 +489,30 @@ const char* kFastYieldSpec = R"({
   "seeds": {"first": 42, "count": 16}
 })";
 
+/// Per-die reference of a single-tone dynamic job, independent of the
+/// runner's execute units: the dynamic bench on a freshly fabricated
+/// PipelineAdc, with the payload fields the runner stores written out here.
+json::JsonValue reference_dynamic_payload(const ScenarioSpec& spec, const JobPoint& point) {
+  const ResolvedJob job = resolve_job(spec, point);
+  adc::pipeline::PipelineAdc adc(job.config);
+  adc::testbench::DynamicTestOptions options;
+  options.record_length = job.stimulus.record_length;
+  options.target_fin_hz =
+      std::min(job.stimulus.frequency_hz,
+               job.stimulus.max_fin_fraction * job.config.conversion_rate / 2.0);
+  options.amplitude_fraction = job.stimulus.amplitude_fraction;
+  const auto result = adc::testbench::run_dynamic_test(adc, options);
+
+  auto payload = json::JsonValue::object();
+  payload.set("tone_hz", result.tone.frequency_hz);
+  payload.set("snr_db", result.metrics.snr_db);
+  payload.set("sndr_db", result.metrics.sndr_db);
+  payload.set("sfdr_db", result.metrics.sfdr_db);
+  payload.set("thd_db", result.metrics.thd_db);
+  payload.set("enob", result.metrics.enob);
+  return payload;
+}
+
 }  // namespace
 
 TEST_F(ScenarioTest, ClaimLifecycleAndStaleSteal) {
@@ -643,10 +672,10 @@ TEST_F(ScenarioTest, BatchedYieldRunIsBitIdenticalToScalarExecution) {
   const auto plan = plan_scenario(spec);
   ASSERT_EQ(plan.jobs.size(), 16u);
 
-  // Scalar reference: every job through the public per-job entry point.
+  // Scalar reference: every job measured on its own die.
   std::vector<std::optional<json::JsonValue>> scalar(plan.jobs.size());
   for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-    scalar[i] = ScenarioRunner::execute_job(resolve_job(spec, plan.jobs[i]));
+    scalar[i] = reference_dynamic_payload(spec, plan.jobs[i]);
   }
   const auto scalar_report = build_report(spec, plan, scalar);
 
@@ -673,16 +702,16 @@ TEST_F(ScenarioTest, BatchedYieldRunIsBitIdenticalToScalarExecution) {
 }
 
 TEST_F(ScenarioTest, BatchedYieldHandlesScatteredCacheHitsAndThreadCounts) {
-  // Pre-seeding scattered jobs from the scalar path leaves non-consecutive
-  // misses, so the execute phase forms ragged die-blocks over
-  // non-contiguous seeds; the merged report must still match end to end,
-  // at any thread count.
+  // Pre-seeding scattered jobs from the per-die reference leaves
+  // non-consecutive misses, so the execute phase forms ragged die-blocks
+  // over non-contiguous seeds; the merged report must still match end to
+  // end, at any thread count.
   const auto spec = parse_spec_text(kFastYieldSpec);
   const auto plan = plan_scenario(spec);
 
   std::vector<std::optional<json::JsonValue>> scalar(plan.jobs.size());
   for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-    scalar[i] = ScenarioRunner::execute_job(resolve_job(spec, plan.jobs[i]));
+    scalar[i] = reference_dynamic_payload(spec, plan.jobs[i]);
   }
   const auto scalar_report = build_report(spec, plan, scalar);
 
@@ -780,4 +809,100 @@ TEST_F(ScenarioTest, PooledProbeEvictsTruncatedAndMisaddressedEntriesOnce) {
   const auto again = ScenarioRunner(options).run(spec);
   EXPECT_EQ(again.cache_evictions, 0u);
   EXPECT_EQ(again.cache_hits, 160u);
+}
+
+namespace {
+
+/// One small spec per measurement kind beyond the single-tone bench, with
+/// the FNV-1a digests of its report JSON and CSV. Nothing else in the suite
+/// runs these kinds through the runner, so the digests are what hold their
+/// report bytes still when the compute path changes.
+struct KindPin {
+  const char* spec;
+  const char* report_digest;
+  const char* csv_digest;
+};
+
+const KindPin kKindPins[] = {
+    // Supply power at two conversion rates (converts nothing).
+    {R"({
+      "name": "pin_power",
+      "measurement": {"type": "power"},
+      "sweep": [{"key": "die.conversion_rate_hz", "values": [60e6, 110e6]}]
+    })",
+     "07e8d8045626c5bc", "eef74f2627e52f08"},
+    // Two-tone IMD on one exact die.
+    {R"({
+      "name": "pin_two_tone_exact",
+      "stimulus": {"type": "two_tone", "frequency_hz": 10e6, "amplitude_fraction": 0.49,
+                   "record_length": 2048},
+      "measurement": {"type": "dynamic"}
+    })",
+     "93bd1d261bf26c73", "2cf9d8f38544c334"},
+    // Two-tone IMD over 10 fast dies at one point: one 8-wide block plus a
+    // 2-die tail converted die by die.
+    {R"({
+      "name": "pin_two_tone_fast",
+      "stimulus": {"type": "two_tone", "frequency_hz": 10e6, "amplitude_fraction": 0.49,
+                   "record_length": 2048},
+      "measurement": {"type": "dynamic"},
+      "die": {"fidelity": "fast"},
+      "seeds": {"first": 42, "count": 10}
+    })",
+     "ad473cf68940b3fc", "54c016a3058bba88"},
+    // Sine-histogram DNL/INL at 2^14 samples, exact and fast.
+    {R"({
+      "name": "pin_static_exact",
+      "measurement": {"type": "static", "samples": 16384}
+    })",
+     "8fbcd35572849988", "1bcf1ed0be378811"},
+    {R"({
+      "name": "pin_static_fast",
+      "measurement": {"type": "static", "samples": 16384},
+      "die": {"fidelity": "fast"}
+    })",
+     "94de427fca811998", "20f8066d9041442d"},
+};
+
+std::string digest_of(const std::string& bytes) {
+  Fnv1a hasher;
+  hasher.update(bytes);
+  return to_hex(hasher.digest());
+}
+
+}  // namespace
+
+TEST_F(ScenarioTest, EveryMeasurementKindIsPinned) {
+  for (const auto& pin : kKindPins) {
+    const auto spec = parse_spec_text(pin.spec);
+    const std::size_t jobs = plan_scenario(spec).jobs.size();
+
+    RunOptions serial;
+    serial.cache_dir = path(spec.name + "-t1");
+    serial.threads = 1;
+    RunOptions warm = serial;
+    warm.threads = 4;
+    RunOptions wide;
+    wide.cache_dir = path(spec.name + "-t4");
+    wide.threads = 4;
+
+    const auto cold_run = ScenarioRunner(serial).run(spec);
+    EXPECT_EQ(cold_run.computed, jobs) << spec.name;
+    const auto warm_run = ScenarioRunner(warm).run(spec);
+    EXPECT_EQ(warm_run.cache_hits, jobs) << spec.name;
+    EXPECT_EQ(warm_run.computed, 0u) << spec.name;
+    const auto wide_run = ScenarioRunner(wide).run(spec);
+    EXPECT_EQ(wide_run.computed, jobs) << spec.name;
+
+    const std::pair<const char*, const RunResult*> runs[] = {
+        {"cold, threads=1", &cold_run},
+        {"warm, threads=4", &warm_run},
+        {"cold, threads=4", &wide_run}};
+    for (const auto& [label, run] : runs) {
+      EXPECT_EQ(digest_of(json::dump(run->report)), pin.report_digest)
+          << spec.name << " report, " << label;
+      EXPECT_EQ(digest_of(report_csv(run->report)), pin.csv_digest)
+          << spec.name << " csv, " << label;
+    }
+  }
 }

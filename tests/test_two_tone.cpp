@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/fidelity.hpp"
 #include "pipeline/design.hpp"
 
 namespace ap = adc::pipeline;
@@ -62,4 +66,32 @@ TEST(TwoTone, RejectsBadOptions) {
   opt.amplitude_fraction = 0.4;
   opt.spacing_hz = -1.0;
   EXPECT_THROW((void)tb::run_two_tone_test(adc, opt), adc::common::ConfigError);
+}
+
+TEST(TwoTone, TwoToneBlockMatchesPerDie) {
+  // 10 fast dies: one full wide block of 8 plus a 2-die tail the converter
+  // runs die by die, so one comparison covers both paths of the group
+  // bench against the one-die bench. The forced-tier CI lanes run this test
+  // under ADC_BATCH_ISA=sse2 and =avx2.
+  ap::AdcConfig fast = ap::nominal_design();
+  fast.fidelity = adc::common::FidelityProfile::kFast;
+  tb::TwoToneOptions opt;
+  opt.record_length = 1 << 11;
+  std::vector<std::uint64_t> seeds;
+  for (std::uint64_t s = 0; s < 10; ++s) seeds.push_back(700 + s);
+  const auto group = tb::run_two_tone_test_block(fast, seeds, opt);
+  ASSERT_EQ(group.size(), seeds.size());
+  for (std::size_t d = 0; d < seeds.size(); ++d) {
+    ap::AdcConfig cfg = fast;
+    cfg.seed = seeds[d];
+    ap::PipelineAdc die(cfg);
+    const auto want = tb::run_two_tone_test(die, opt);
+    EXPECT_EQ(group[d].f1_hz, want.f1_hz) << "die " << d;
+    EXPECT_EQ(group[d].f2_hz, want.f2_hz) << "die " << d;
+    EXPECT_EQ(group[d].tone_power_db, want.tone_power_db) << "die " << d;
+    EXPECT_EQ(group[d].imd3_low_dbc, want.imd3_low_dbc) << "die " << d;
+    EXPECT_EQ(group[d].imd3_high_dbc, want.imd3_high_dbc) << "die " << d;
+    EXPECT_EQ(group[d].imd2_dbc, want.imd2_dbc) << "die " << d;
+    EXPECT_EQ(group[d].worst_imd_dbc, want.worst_imd_dbc) << "die " << d;
+  }
 }
