@@ -13,9 +13,9 @@
 /// on either path — the wide kernel is a throughput optimization, never a
 /// fidelity knob.
 ///
-/// Intended callers: the dynamic testbench (run_dynamic_test_block, one
-/// converter per die block) and, through it, the Monte-Carlo runners and
-/// the scenario runner's execute units.
+/// Intended callers: the group forms of the conversion benches
+/// (run_dynamic_test_block and run_two_tone_test_block, one converter per
+/// die block) and, through them, the scenario runner's execute units.
 #pragma once
 
 #include <cstddef>
